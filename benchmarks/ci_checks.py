@@ -357,6 +357,43 @@ def check_kill_resilience(args: List[str]) -> None:
     print("kill-resilience ok:", report.tally, report.supervisor)
 
 
+#: Per-item ceiling on incremental liveness node visits in
+#: ``incr-liveness``: 113-126 measured per item (one visit per edited
+#: block), doubled for headroom.  Region resets cost 12k-18k.
+INCR_NODE_VISIT_BOUND = 250
+
+
+def check_incr_liveness(args: List[str]) -> None:
+    """Cold single-pass LCM on ~200 blocks: 1 solve, edit-sized patches."""
+    from repro.api import optimize_cfg
+    from repro.corpus import generate_source, profile_config
+    from repro.lang.lower import compile_program
+    from repro.obs.manager import AnalysisManager
+    from repro.obs.trace import Tracer, activate, deactivate
+
+    config = profile_config("mixed", 220)
+    visits = []
+    for seed in range(3):
+        cfg = compile_program(generate_source(seed, config))
+        manager = AnalysisManager()
+        tracer = Tracer()
+        activate(tracer)
+        try:
+            outcome = optimize_cfg(cfg, "lcm", manager=manager)
+        finally:
+            deactivate()
+        fullsolves = tracer.counters.get("dataflow.incr.fullsolve", 0)
+        assert fullsolves == 1, (seed, fullsolves)
+        # The engine that did the cleanup work (one full solve), not a
+        # fresh one the lookup would create.
+        stats = manager.liveness(outcome.transform.cfg).stats
+        assert stats.full_solves == 1, (seed, stats)
+        assert stats.node_visits <= INCR_NODE_VISIT_BOUND, (seed, stats)
+        visits.append(stats.node_visits)
+    print(f"incr-liveness ok: 1 full solve per item, node visits {visits}",
+          f"(bound {INCR_NODE_VISIT_BOUND})")
+
+
 def check_serve(args: List[str]) -> None:
     """The serve daemon answers a cold/warm pair and shuts down clean."""
     import subprocess
@@ -404,6 +441,7 @@ CHECKS: Dict[str, Callable[[List[str]], None]] = {
     "differential": check_differential,
     "differential-injection": check_differential_injection,
     "kill-resilience": check_kill_resilience,
+    "incr-liveness": check_incr_liveness,
     "serve": check_serve,
 }
 

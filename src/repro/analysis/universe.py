@@ -27,6 +27,9 @@ class ExprUniverse:
     def __init__(self, exprs: Iterable[Expr] = ()) -> None:
         self._index: Dict[Expr, int] = {}
         self._exprs: List[Expr] = []
+        # Derived state: variable -> kill-mask bits, built on the first
+        # invalidated_by query and dropped whenever the universe grows.
+        self._kills: Optional[Dict[str, int]] = None
         for expr in exprs:
             self.add(expr)
 
@@ -46,6 +49,7 @@ class ExprUniverse:
         if expr not in self._index:
             self._index[expr] = len(self._exprs)
             self._exprs.append(expr)
+            self._kills = None
         return self._index[expr]
 
     # ------------------------------------------------------------------
@@ -94,15 +98,21 @@ class ExprUniverse:
         return [self._exprs[i] for i in vec]
 
     def invalidated_by(self, var: str) -> BitVector:
-        """Expressions whose value may change when *var* is assigned."""
-        return BitVector.of(
-            self.width,
-            (
-                i
-                for i, expr in enumerate(self._exprs)
-                if var in expr_vars(expr)
-            ),
-        )
+        """Expressions whose value may change when *var* is assigned.
+
+        A dict lookup: the first query builds every variable's kill
+        mask in one pass over the universe, so computing the local
+        predicates costs one probe per assignment instead of a walk of
+        every expression's operand tree.
+        """
+        kills = self._kills
+        if kills is None:
+            kills = {}
+            for i, expr in enumerate(self._exprs):
+                for name in expr_vars(expr):
+                    kills[name] = kills.get(name, 0) | (1 << i)
+            self._kills = kills
+        return BitVector(self.width, kills.get(var, 0))
 
     # ------------------------------------------------------------------
 

@@ -305,16 +305,32 @@ def _placements_from(
     insert: Dict[Edge, BitVector],
     delete: Dict[str, BitVector],
 ) -> List[Placement]:
-    """Turn per-edge/per-block vectors into one Placement per expression."""
+    """Turn per-edge/per-block vectors into one Placement per expression.
+
+    Transposes the vectors in one pass over their set bits, so the cost
+    follows the number of insertions and deletions, not width × (edges +
+    blocks).
+    """
     universe = analysis.universe
-    placements: List[Placement] = []
-    for idx, expr in universe.enumerate():
-        edges = frozenset(e for e, vec in insert.items() if idx in vec)
-        blocks = frozenset(b for b, vec in delete.items() if idx in vec)
-        placements.append(
-            Placement(expr, universe.temp_name(expr), edges, frozenset(), blocks)
+    width = universe.width
+    edges: List[List[Edge]] = [[] for _ in range(width)]
+    blocks: List[List[str]] = [[] for _ in range(width)]
+    for edge, vec in insert.items():
+        for idx in vec.indices():
+            edges[idx].append(edge)
+    for label, vec in delete.items():
+        for idx in vec.indices():
+            blocks[idx].append(label)
+    return [
+        Placement(
+            expr,
+            universe.temp_name(expr),
+            frozenset(edges[idx]),
+            frozenset(),
+            frozenset(blocks[idx]),
         )
-    return placements
+        for idx, expr in universe.enumerate()
+    ]
 
 
 def lcm_placements(analysis: LCMAnalysis) -> List[Placement]:

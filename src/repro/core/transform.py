@@ -261,7 +261,7 @@ def apply_placements(
 
     # Step 4: collapse isolated copies and drop dead insertions.  One
     # incremental engine serves both cleanups: a single full liveness
-    # solve up front, then O(affected-region) patches after each edit
+    # solve up front, then edit-sized column-wise patches after each edit
     # instead of the global re-solves this loop used to do.  Temps are
     # only ever defined at copy sites and insertion sites, so both
     # sweeps visit just those blocks.
@@ -307,12 +307,14 @@ def _collapse_dead_copies(
                 block.instrs[i : i + 2] = [Assign(second.target, first.expr)]
                 result.copies_collapsed.append((block.label, first.target))
                 changed = True
-                # A collapse can only shorten later liveness, never extend
-                # it, so continuing with this block's stale exit fact is
-                # sound: it may miss a newly dead copy in *earlier* blocks,
-                # which the fixpoint loop in the caller would catch; in
-                # practice the pairs are independent.  Patch the facts at
-                # the block boundary to stay exact.
+                # The facts stay exact.  The rewrite drops a def of t and
+                # the one use of t that def covered, so the block's
+                # upward-exposed uses are unchanged and its defs only
+                # shrink: its transfer grows, in t's column alone.  Since
+                # t is dead after the pair, t's live-in is unchanged too,
+                # so no block's facts move (later pairs here may keep
+                # using this block's exit fact), and the patch at the
+                # block boundary is a single visit to this block.
             else:
                 i += 1
         if changed:

@@ -16,15 +16,21 @@ the repository whose cost scales with the edit, not the program:
   :meth:`~IncrementalLiveness.block_edited` records that a block's
   instruction list changed (insert/delete/replace — exactly the edits
   the transformation loops make); the next query recomputes that
-  block's local sets, resets the **affected region** — the blocks that
-  can reach an edited block, the only ones whose facts may depend on it
-  in a backward problem — and re-runs a priority worklist over that
-  region only.  Because liveness is a union (some-path) problem whose
-  fixpoint is the unique least fixpoint, re-iterating the affected
-  region from bottom with the untouched facts held fixed reproduces the
-  full re-solve **bit for bit** (a hypothesis differential suite pins
-  this), including after *deletions*, where naive re-propagation from
-  stale facts would leave self-sustaining live ranges around loops.
+  block's upward-exposed uses and defs and patches the facts **column
+  by column** (one column per variable — liveness is a union problem
+  whose columns never interact).  Each block's transfer is
+  ``use | (x & ~def)``.  A column whose transfer only *grew* (a new
+  upward-exposed use, a removed def) keeps its old facts: they are the
+  old least fixpoint, hence below the new one and consistent with the
+  new equations, so the worklist raises them to the new least fixpoint
+  exactly.  A column whose transfer *shrank* (a removed use, an added
+  def) may hold unjustified bits — a loop-carried live range would
+  sustain itself — so it is reset, but only in the edited block and the
+  solved predecessors its cleared bits flowed into.  The worklist then
+  runs from the edited and reset blocks only.  The patched fixpoint
+  equals the full re-solve **bit for bit** (a hypothesis differential
+  suite pins this for grow-only, shrink-only and mixed edit scripts on
+  loopy graphs, including partially demand-solved engines).
 
 * The **demand-driven** point-query API (:meth:`is_live_after`,
   :meth:`is_live_in`, :meth:`is_live_out` — the formulation of "Lazy
@@ -69,14 +75,17 @@ class IncrementalStats:
 
     Attributes:
         full_solves: global fixpoint solves (the expensive path).
-        incr_updates: edit deltas applied by region re-iteration.
+        incr_updates: edit deltas applied by column-wise patches.
         demand_solves: demand-driven region solves (includes promoting
             a partial engine to the full fixpoint).
         point_queries: ``is_live_*`` point queries answered.
         edits_seen: block-edit notifications received.
-        blocks_updated: total blocks re-iterated by incremental updates.
+        blocks_updated: total blocks the patches seeded their worklists
+            with: the edited (solved) blocks plus the blocks whose
+            shrunk columns were reset.  A grow-only edit adds one.
         blocks_demanded: total blocks solved by demand queries.
-        node_visits: transfer evaluations in region worklists.
+        node_visits: transfer evaluations in patch and demand worklists
+            (the global solve is not counted).
     """
 
     full_solves: int = 0
@@ -270,16 +279,21 @@ class IncrementalLiveness:
 
     # -- the region worklist ---------------------------------------------
 
-    def _solve_region(self, region: Set[int]) -> None:
-        """Iterate *region* (member ids) to its least fixpoint.
+    def _solve_region(self, seeds: Iterable[int], domain: Set[int]) -> None:
+        """Iterate *domain* (member ids) to its least fixpoint from *seeds*.
 
-        Facts outside the region are held fixed: solved blocks carry
+        Only the *seeds* start on the worklist; a block joins it when a
+        successor's live-in changes, and only if it lies in *domain*.
+        Facts outside the domain are held fixed: solved blocks carry
         their final values, never-visited blocks stay at the init value
         (0) — exactly the reference solver's treatment of blocks missing
-        from the backward order.  The region must be closed under the
-        influence relation it is iterated for (predecessor-closed for
-        updates, successor-closed for demand), which both callers
-        guarantee by construction.
+        from the backward order.  The starting facts must lie below the
+        domain's least fixpoint and satisfy ``fact <= transfer(fact)``
+        everywhere, with every block whose equation may be violated
+        among the seeds; then the iteration only raises facts and stops
+        at the least fixpoint.  Both callers guarantee this: a demand
+        solve seeds its whole (all-zero) region, an edit patch seeds
+        the edited and reset blocks (see :meth:`_apply_edits`).
         """
         plan = self._plan
         position = self._position
@@ -288,8 +302,8 @@ class IncrementalLiveness:
         succs, preds = plan.succs, plan.preds
         exit_id = plan.exit
         boundary = self._boundary
-        heap = sorted((position[i], i) for i in region)
-        queued = set(region)
+        heap = sorted((position[i], i) for i in seeds)
+        queued = {i for _, i in heap}
         visits = 0
         while heap:
             _, i = heapq.heappop(heap)
@@ -307,7 +321,7 @@ class IncrementalLiveness:
                 if nin != fin[i]:
                     fin[i] = nin
                     for p in preds[i]:
-                        if p in region and p not in queued:
+                        if p in domain and p not in queued:
                             queued.add(p)
                             heapq.heappush(heap, (position[p], p))
         self.stats.node_visits += visits
@@ -320,6 +334,8 @@ class IncrementalLiveness:
             return
         plan = self._plan
         mentions = self._mentions
+        # Per solved dirty block: the columns whose transfer shrank.
+        shrunk: Dict[int, int] = {}
         for i in sorted(dirty):
             upward, defined, mentioned = _scan_block(self.cfg.block(plan.labels[i]))
             old = self._names[i]
@@ -330,7 +346,7 @@ class IncrementalLiveness:
                     if name not in self._vidx:
                         # Universe growth: new columns start all-zero,
                         # which is the pre-edit truth for a name with no
-                        # occurrences; the region re-solve fills them in.
+                        # occurrences; the patch below fills them in.
                         self._vidx[name] = len(self._vars)
                         self._vars.append(name)
                 for name in old - mentioned:
@@ -344,36 +360,57 @@ class IncrementalLiveness:
                         # projects it away.
                         del mentions[name]
                 self._names[i] = mentioned
-            self._use[i] = self._bits(upward)
-            self._def[i] = self._bits(defined)
+            old_use, old_def = self._use[i], self._def[i]
+            new_use, new_def = self._bits(upward), self._bits(defined)
+            self._use[i], self._def[i] = new_use, new_def
+            if i in self._solved:
+                # The transfer ``use | (x & ~def)`` shrank in a column
+                # iff the new one no longer dominates the old at x = 0
+                # (a lost upward use) or at x = 1 (a new kill) — unless
+                # the column is now used upward, which pins it to 1.
+                shrunk[i] = ~new_use & (old_use | (new_def & ~old_def))
         self._materialized = None
-        if not self._solved:
-            return  # locals refreshed; no facts exist to patch yet
-        # The affected region: solved blocks that can reach an edited
-        # block — in a backward problem, the only facts that may depend
-        # on the edited local sets.  Predecessor-closed by construction.
-        frontier = [i for i in dirty if i in self._solved]
-        if not frontier:
-            return
-        region: Set[int] = set()
-        while frontier:
-            i = frontier.pop()
-            if i in region:
-                continue
-            region.add(i)
-            for p in self._plan.preds[i]:
-                if p in self._solved and p not in region:
-                    frontier.append(p)
-        # Reset to bottom and re-iterate: sound for *deletions* too,
-        # where propagating from stale facts would keep dead loop
-        # variables alive forever.
-        for i in region:
-            self._in[i] = 0
-            self._out[i] = 0
-        self._solve_region(region)
+        if not shrunk:
+            return  # no facts exist to patch yet
+        reset = self._reset_shrunk(shrunk)
+        seeds = set(shrunk) | reset
+        self._solve_region(seeds, self._solved)
         self.stats.incr_updates += 1
-        self.stats.blocks_updated += len(region)
+        self.stats.blocks_updated += len(seeds)
         trace.count("dataflow.incr.update")
+
+    def _reset_shrunk(self, shrunk: Dict[int, int]) -> Set[int]:
+        """Clear stale bits of the shrunk columns; return the blocks touched.
+
+        *shrunk* maps each solved dirty block to its shrunk columns.  A
+        column's bit is cleared in that block's live-in and,
+        transitively, in every solved predecessor whose fact flowed from
+        a cleared bit (its live-out, and its live-in when set there too).
+        A bit not reached this way is justified by a path that avoids
+        every shrunk block, so it is still below the new least fixpoint;
+        and every predecessor whose live-out read a cleared live-in is
+        itself touched, so the dirty and touched blocks are the only
+        ones whose equations the reset can violate.  (Unsolved blocks
+        hold all-zero facts, so no cleared bit flows into them.)
+        """
+        fin, fout = self._in, self._out
+        preds = self._plan.preds
+        touched: Set[int] = set()
+        stack = [(i, mask) for i, mask in shrunk.items() if mask]
+        while stack:
+            i, mask = stack.pop()
+            mask &= fin[i]
+            if not mask:
+                continue
+            fin[i] &= ~mask
+            touched.add(i)
+            for p in preds[i]:
+                flowed = mask & fout[p]
+                if flowed:
+                    fout[p] &= ~flowed
+                    touched.add(p)
+                    stack.append((p, flowed))
+        return touched
 
     # -- solving ----------------------------------------------------------
 
@@ -436,7 +473,7 @@ class IncrementalLiveness:
             self._full_solve()
             return
         region = set(self._position) - self._solved
-        self._solve_region(region)
+        self._solve_region(region, region)
         self._solved |= region
         self._full = True
         self.stats.demand_solves += 1
@@ -462,7 +499,7 @@ class IncrementalLiveness:
                 continue
             region.add(j)
             stack.extend(succs[j])
-        self._solve_region(region)
+        self._solve_region(region, region)
         solved |= region
         if len(solved) == len(position):
             self._full = True

@@ -10,7 +10,7 @@ cannot, so no collisions are possible.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro.ir.block import BasicBlock
 from repro.ir.cfg import CFG
@@ -30,6 +30,11 @@ class _Lowerer:
         self._current: Optional[BasicBlock] = None
         # (continue target, break target) per enclosing loop.
         self._loop_stack: List[tuple] = []
+        # Labels some terminator jumps to.  Lowering never removes a
+        # terminated block, so this answers "does anything reach this
+        # join?" without the CFG's predecessor map, which is rebuilt
+        # after every added block and would make lowering quadratic.
+        self._targeted: Set[str] = set()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -50,9 +55,7 @@ class _Lowerer:
         assert self._current.terminator is None
         self._current.terminator = terminator
         self._current = None
-        # Keep predecessor queries (used by the lazy join/latch cleanup)
-        # in sync with the freshly wired edge.
-        self.cfg.notify_terminator_changed()
+        self._targeted.update(terminator.successors())
 
     def _switch_to(self, block: BasicBlock) -> None:
         self._current = block
@@ -116,7 +119,7 @@ class _Lowerer:
     def _resume_at_join(self, join: BasicBlock) -> None:
         """Continue lowering at *join*, or drop it when nothing reaches it
         (e.g. both arms of an if break out of the loop)."""
-        if self.cfg.preds(join.label):
+        if join.label in self._targeted:
             self._switch_to(join)
         else:
             self.cfg.remove_block(join.label)
@@ -170,7 +173,7 @@ class _Lowerer:
         self._loop_stack.pop()
         if self._current is not None:
             self._terminate(Jump(latch.label))
-        if self.cfg.preds(latch.label):
+        if latch.label in self._targeted:
             self._switch_to(latch)
             cond = self._atomize(stmt.cond)
             self._terminate(CondBranch(cond, body.label, after.label))
@@ -201,7 +204,7 @@ class _Lowerer:
         self._loop_stack.pop()
         if self._current is not None:
             self._terminate(Jump(latch.label))
-        if self.cfg.preds(latch.label):
+        if latch.label in self._targeted:
             self._switch_to(latch)
             self._emit(Assign(counter, BinExpr("+", Var(counter), Const(1))))
             self._terminate(Jump(header.label))

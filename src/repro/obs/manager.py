@@ -95,7 +95,7 @@ def notify_cfg_edited(cfg: CFG, labels) -> None:
     its cached fingerprint state (an O(region) re-hash at the next
     lookup), and its incremental liveness engines
     (:class:`repro.dataflow.incremental.IncrementalLiveness`) keep
-    their fixpoints and patch the affected region instead of
+    their fixpoints and patch them column by column instead of
     re-solving globally.
     """
     for manager in list(_LIVE_MANAGERS):
@@ -369,7 +369,7 @@ class AnalysisManager:
         :meth:`cached` (same fingerprint + key tiers as a direct
         :func:`~repro.analysis.liveness.liveness_of`), and it is kept
         current by the notification hooks: :meth:`notify_edited` marks
-        blocks dirty for an O(affected-region) patch,
+        blocks dirty for an edit-sized column-wise patch,
         :meth:`invalidate` (the coarse path) drops its facts entirely.
         """
         from repro.dataflow.incremental import IncrementalLiveness

@@ -1,12 +1,34 @@
 """Unit tests for the expression universe."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.helpers import AB, CD, diamond
 
 from repro.analysis.universe import ExprUniverse
 from repro.dataflow.bitvec import BitVector
-from repro.ir.expr import BinExpr, UnaryExpr, Var
+from repro.ir.expr import BinExpr, Const, UnaryExpr, Var, expr_vars
+
+NAMES = ("a", "b", "c", "d", "e")
+
+atoms = st.one_of(
+    st.sampled_from(NAMES).map(Var),
+    st.integers(min_value=0, max_value=3).map(Const),
+)
+#: Candidate computations: one operator over atoms (``a + a`` included).
+computations = st.one_of(
+    st.builds(BinExpr, st.sampled_from("+-*"), atoms, atoms),
+    st.builds(UnaryExpr, st.just("-"), atoms),
+)
+
+
+def _brute_kills(universe, var):
+    """The definition: every expression reading *var*."""
+    return BitVector.of(
+        universe.width,
+        (i for i, expr in universe.enumerate() if var in expr_vars(expr)),
+    )
 
 
 class TestUniverse:
@@ -56,6 +78,29 @@ class TestUniverse:
     def test_invalidated_by_unrelated_var(self):
         universe = ExprUniverse([AB])
         assert not universe.invalidated_by("z")
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs=st.lists(computations, max_size=12))
+    def test_invalidated_by_matches_definition(self, exprs):
+        universe = ExprUniverse(exprs)
+        for var in NAMES + ("unused",):
+            assert universe.invalidated_by(var) == _brute_kills(universe, var)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=st.lists(computations, max_size=6),
+        later=st.lists(computations, min_size=1, max_size=6),
+    )
+    def test_kill_masks_follow_universe_growth(self, first, later):
+        universe = ExprUniverse(first)
+        for var in NAMES:
+            universe.invalidated_by(var)  # fill the table at the old width
+        for expr in later:
+            universe.add(expr)
+            for var in NAMES:
+                kills = universe.invalidated_by(var)
+                assert kills.width == universe.width
+                assert kills == _brute_kills(universe, var)
 
     def test_temp_names_unique_and_dotted(self):
         universe = ExprUniverse([AB, CD])

@@ -147,6 +147,31 @@ class TestIsolatedCopyCollapse:
         assert ("s0", "t.ab") not in result.copies_collapsed
         assert check_equivalence(cfg, result.cfg).equivalent
 
+    def test_collapse_patches_only_the_edited_blocks(self):
+        # A collapse only grows its block's transfer and leaves the
+        # live-in unchanged, so on a ~200-block program the liveness
+        # patches after every collapse visit just the edited blocks:
+        # nothing is reset, nothing propagates.
+        from repro.core.lcm import analyze_lcm, lcm_placements
+        from repro.corpus import generate_source, profile_config
+        from repro.lang.lower import compile_program
+        from repro.obs.manager import AnalysisManager
+
+        source = generate_source(0, profile_config("mixed", 220))
+        cfg = compile_program(source)
+        assert len(cfg) >= 150
+        manager = AnalysisManager()
+        placements = lcm_placements(analyze_lcm(cfg))
+        result = apply_placements(
+            cfg, placements, drop_dead_insertions=False, manager=manager
+        )
+        engine = manager.liveness(result.cfg)
+        engine.solve()  # land the last block's pending patch
+        edited = {label for label, _ in result.copies_collapsed}
+        assert len(edited) >= 50
+        assert engine.stats.full_solves == 1
+        assert engine.stats.node_visits <= len(edited)
+
 
 class TestDeadInsertionCleanup:
     def test_useless_edge_insertion_dropped(self):

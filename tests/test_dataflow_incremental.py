@@ -37,6 +37,7 @@ from repro.obs.trace import Tracer, activate, deactivate
 
 SMALL = GeneratorConfig(statements=10, max_depth=2)
 SHAPES = ShapeConfig(blocks=8, back_edge_probability=0.5)
+LOOPY = ShapeConfig(blocks=14, back_edge_probability=0.7, instrs_per_block=3)
 
 quick = settings(
     max_examples=25,
@@ -62,6 +63,52 @@ def _random_edit(cfg, rng, step):
         expr = BinExpr("+", Var(rng.choice(names)), Const(rng.randrange(7)))
         block.instrs.insert(rng.randrange(len(block.instrs) + 1), Assign(target, expr))
     return label
+
+
+def _grow_edit(cfg, rng, step):
+    """An edit that only grows the block's transfer, column by column.
+
+    Either a new upward-exposed use (``v = v + k`` at the block top: the
+    use pins ``v``'s column to 1) or a removed def (an assignment
+    retargeted to a fresh name nothing reads).
+    """
+    labels = [l for l in cfg.labels if cfg.block(l).instrs]
+    if labels and rng.random() < 0.5:
+        label = rng.choice(labels)
+        block = cfg.block(label)
+        i = rng.randrange(len(block.instrs))
+        block.instrs[i] = Assign(f"dead{step}", block.instrs[i].expr)
+        return label
+    label = rng.choice(list(cfg.labels))
+    name = rng.choice(sorted(cfg.variables()) or ["seed"])
+    expr = BinExpr("+", Var(name), Const(rng.randrange(7)))
+    cfg.block(label).instrs.insert(0, Assign(name, expr))
+    return label
+
+
+def _shrink_edit(cfg, rng, step):
+    """An edit that only shrinks the block's transfer, column by column.
+
+    Either removed uses (a right-hand side replaced by a constant) or a
+    new def (``v = k`` inserted anywhere, covering later uses of ``v``).
+    """
+    labels = [l for l in cfg.labels if cfg.block(l).instrs]
+    if labels and rng.random() < 0.5:
+        label = rng.choice(labels)
+        block = cfg.block(label)
+        i = rng.randrange(len(block.instrs))
+        block.instrs[i] = Assign(block.instrs[i].target, Const(step))
+        return label
+    label = rng.choice(list(cfg.labels))
+    block = cfg.block(label)
+    name = rng.choice(sorted(cfg.variables()) or ["seed"])
+    at = rng.randrange(len(block.instrs) + 1)
+    block.instrs.insert(at, Assign(name, Const(step)))
+    return label
+
+
+def _mixed_edit(cfg, rng, step):
+    return rng.choice((_grow_edit, _shrink_edit, _random_edit))(cfg, rng, step)
 
 
 def _assert_matches_reference(engine, cfg, exit_names, context=""):
@@ -106,7 +153,7 @@ class TestIncrementalEquivalence:
     def test_edit_scripts_on_loopy_shapes(self, seed, edit_seed):
         # Deletion around back edges is where naive re-propagation from
         # stale facts goes wrong: a loop-carried live range sustains
-        # itself.  The reset-region update must not.
+        # itself.  The column-wise patch must reset shrunk columns.
         cfg = random_shape_cfg(seed, SHAPES)
         rng = random.Random(edit_seed)
         engine = IncrementalLiveness(cfg)
@@ -143,6 +190,104 @@ class TestIncrementalEquivalence:
                     ) == _is_live_after(cfg, reference, label, i, instr.target)
             label = _random_edit(cfg, rng, step)
             engine.block_edited(label)
+
+
+class TestColumnPatches:
+    """The column-wise patch rule against fresh solves, edit by edit.
+
+    Grown columns propagate from the old facts; shrunk columns are reset
+    where they may be stale.  Loop-carried deletions and partially
+    demand-solved engines are where skipping a reset would go wrong.
+    """
+
+    @quick
+    @given(seed=seeds, edit_seed=seeds)
+    def test_grow_only_scripts_reset_nothing(self, seed, edit_seed):
+        cfg = random_shape_cfg(seed, LOOPY)
+        rng = random.Random(edit_seed)
+        engine = IncrementalLiveness(cfg)
+        engine.solve()
+        for step in range(8):
+            engine.block_edited(_grow_edit(cfg, rng, step))
+            _assert_matches_reference(engine, cfg, (), f"grow step {step}")
+        # Every update seeded just its edited block: no column was reset.
+        assert engine.stats.blocks_updated == engine.stats.incr_updates == 8
+        assert engine.stats.full_solves == 1
+
+    @quick
+    @given(seed=seeds, edit_seed=seeds)
+    def test_shrink_only_scripts(self, seed, edit_seed):
+        cfg = random_shape_cfg(seed, LOOPY)
+        rng = random.Random(edit_seed)
+        names = sorted(cfg.variables())
+        exit_names = names[: rng.randrange(3)]
+        engine = IncrementalLiveness(cfg, live_at_exit=exit_names)
+        engine.solve()
+        for step in range(8):
+            engine.block_edited(_shrink_edit(cfg, rng, step))
+            _assert_matches_reference(
+                engine, cfg, exit_names, f"shrink step {step}"
+            )
+        assert engine.stats.full_solves == 1
+
+    @quick
+    @given(seed=seeds, edit_seed=seeds)
+    def test_mixed_bursts(self, seed, edit_seed):
+        cfg = random_shape_cfg(seed, LOOPY)
+        rng = random.Random(edit_seed)
+        engine = IncrementalLiveness(cfg)
+        engine.solve()
+        for burst in range(4):
+            for step in range(rng.randrange(1, 5)):
+                engine.block_edited(_mixed_edit(cfg, rng, 10 * burst + step))
+            _assert_matches_reference(engine, cfg, (), f"burst {burst}")
+        assert engine.stats.full_solves == 1
+
+    @quick
+    @given(seed=seeds, edit_seed=seeds)
+    def test_partially_solved_engines(self, seed, edit_seed):
+        # Point query (a partial solved set), edit, query again, then
+        # promote with solve(): the patch must only touch solved facts
+        # and the promotion must start from consistent ones.
+        cfg = random_shape_cfg(seed, LOOPY)
+        rng = random.Random(edit_seed)
+        engine = IncrementalLiveness(cfg)
+        for step in range(6):
+            reference = compute_liveness(cfg)
+            label = rng.choice(list(cfg.labels))
+            var = rng.choice(reference.variables or ["x"])
+            assert engine.is_live_out(label, var) == reference.is_live_out(
+                label, var
+            )
+            assert engine.live_in(label) == reference.live_in(label)
+            engine.block_edited(_mixed_edit(cfg, rng, step))
+        assert engine.stats.full_solves == 0
+        _assert_matches_reference(engine, cfg, (), "promoted")
+        assert engine.stats.full_solves == 0
+        for step in range(6, 10):
+            engine.block_edited(_mixed_edit(cfg, rng, step))
+            _assert_matches_reference(engine, cfg, (), f"promoted {step}")
+
+    def test_loop_carried_use_deletion(self):
+        # v circulates around the loop only because `body` reads it;
+        # once the read goes, the whole cycle must go dead, not sustain
+        # itself from the stale facts.
+        from repro.ir.builder import CFGBuilder
+
+        b = CFGBuilder()
+        b.block("pre", "v = a + 1").jump("head")
+        b.block("head", "t = i < n").branch("t", "body", "after")
+        b.block("body", "y = v + 2", "i = i + 1").jump("head")
+        b.block("after", "w = a + 3").to_exit()
+        cfg = b.build()
+        engine = IncrementalLiveness(cfg)
+        assert engine.is_live_in("head", "v")
+        engine.solve()
+        del cfg.block("body").instrs[0]
+        engine.block_edited("body")
+        _assert_matches_reference(engine, cfg, (), "use deleted")
+        assert not engine.is_live_in("head", "v")
+        assert not engine.is_live_out("pre", "v")
 
 
 class TestDemandDriven:
