@@ -30,6 +30,7 @@ from repro.batch import BatchConfig, items_from_dir, run_batch, WorkItem
 from repro.bench.generators import GeneratorConfig, random_program
 from repro.bench.harness import Table, record_report, write_json_report
 from repro.lang.unparse import unparse
+from repro.obs.fingerprint import cfg_fingerprint
 from repro.obs.manager import AnalysisManager
 from repro.obs.trace import tracing
 from repro.passes.pipeline import run_pipeline
@@ -194,37 +195,35 @@ def test_batch_warm_store(benchmark):
 
 
 def rewrite_sweep():
-    """The rewrite-side benchmark: dirty scheduling + incremental
-    fingerprints vs. the legacy whole-CFG arm, over the same corpus.
+    """The rewrite-side benchmark: dirty scheduling vs. the whole-CFG
+    reference arm, over the same corpus.
 
     The two arms must produce bit-identical IR (equal output
-    fingerprints item by item); the dirty arm must fingerprint the
-    whole graph at most :data:`MAX_FULL_FINGERPRINTS_PER_ITEM` times
-    per item — one full hash for the input, incremental patches for
-    everything after.
+    fingerprints item by item, hashed from scratch after the timed
+    loop); the dirty arm must fingerprint the whole graph at most
+    :data:`MAX_FULL_FINGERPRINTS_PER_ITEM` times per item — one full
+    hash for the input, incremental patches for everything after.
     """
     items = build_items()
     cfgs = [load_cfg(item.payload, item.kind) for item in items]
 
     arms = {}
-    for name, scheduling, incremental in (
-        ("full", "full", False),
-        ("dirty", "dirty", True),
-    ):
-        manager = AnalysisManager(incremental_fingerprints=incremental)
+    for scheduling in ("full", "dirty"):
+        manager = AnalysisManager()
         with tracing() as tracer:
             start = time.perf_counter()
-            outputs = []
+            results = []
             for cfg in cfgs:
                 manager.fingerprint(cfg)
-                result = run_pipeline(
-                    cfg, "lcm", manager=manager, scheduling=scheduling
+                results.append(
+                    run_pipeline(
+                        cfg, "lcm", manager=manager, scheduling=scheduling
+                    )
                 )
-                outputs.append(manager.fingerprint(result.cfg))
             wall = time.perf_counter() - start
-        arms[name] = {
+        arms[scheduling] = {
             "wall": wall,
-            "outputs": outputs,
+            "outputs": [cfg_fingerprint(result.cfg) for result in results],
             "counters": dict(tracer.counters),
         }
 

@@ -363,8 +363,15 @@ def check_kill_resilience(args: List[str]) -> None:
 INCR_NODE_VISIT_BOUND = 250
 
 
+#: Per-item fingerprint budget in ``incr-liveness``: one whole-graph
+#: hash of the input, then three incremental refreshes (the local-CSE
+#: copy, the transformed graph, the cleaned-up output).
+INCR_FINGERPRINTS = {"fingerprint.full": 1, "fingerprint.incr": 3}
+
+
 def check_incr_liveness(args: List[str]) -> None:
-    """Cold single-pass LCM on ~200 blocks: 1 solve, edit-sized patches."""
+    """Cold single-pass LCM on ~200 blocks: 1 solve, edit-sized patches,
+    1 full + 3 incremental fingerprints."""
     from repro.api import optimize_cfg
     from repro.corpus import generate_source, profile_config
     from repro.lang.lower import compile_program
@@ -384,14 +391,21 @@ def check_incr_liveness(args: List[str]) -> None:
             deactivate()
         fullsolves = tracer.counters.get("dataflow.incr.fullsolve", 0)
         assert fullsolves == 1, (seed, fullsolves)
+        hashes = {
+            name: tracer.counters.get(name, 0) for name in INCR_FINGERPRINTS
+        }
+        assert hashes == INCR_FINGERPRINTS, (seed, hashes)
         # The engine that did the cleanup work (one full solve), not a
         # fresh one the lookup would create.
         stats = manager.liveness(outcome.transform.cfg).stats
         assert stats.full_solves == 1, (seed, stats)
         assert stats.node_visits <= INCR_NODE_VISIT_BOUND, (seed, stats)
         visits.append(stats.node_visits)
-    print(f"incr-liveness ok: 1 full solve per item, node visits {visits}",
-          f"(bound {INCR_NODE_VISIT_BOUND})")
+    print(
+        f"incr-liveness ok: 1 full solve per item, node visits {visits}",
+        f"(bound {INCR_NODE_VISIT_BOUND}), fingerprints per item",
+        INCR_FINGERPRINTS,
+    )
 
 
 def check_serve(args: List[str]) -> None:

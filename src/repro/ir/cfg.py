@@ -166,6 +166,21 @@ class CFG:
         """The execution frequency of *edge* (defaults to 1)."""
         return self._weights.get(edge, default)
 
+    def weighted_edges(self) -> List[Tuple[Edge, int]]:
+        """``(edge, weight)`` for current edges with a non-default weight.
+
+        Sorted by edge.  Weights left on edges that no longer exist are
+        skipped; an unweighted graph returns without listing its edges.
+        """
+        if not self._weights:
+            return []
+        current = set(self.edges())
+        return sorted(
+            (edge, weight)
+            for edge, weight in self._weights.items()
+            if weight != 1 and edge in current
+        )
+
     # ------------------------------------------------------------------
     # Surgery
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ the touched blocks) or :func:`notify_cfg_mutated` (structural changes)
 — the transformation engine (:mod:`repro.core.transform`) and the pass
 pipeline (:mod:`repro.passes.pipeline`) do.  An edit marks just those
 blocks dirty, so the next fingerprint lookup re-hashes the edited
-region instead of re-serialising the graph; only an unattributed
+region instead of re-hashing the whole graph; only an unattributed
 structural mutation forces a from-scratch hash.  Code that *copies* a
 graph and edits a known set of blocks can call
 :func:`notify_cfg_derived` to seed the copy's state from its base, so
@@ -174,21 +174,11 @@ class AnalysisManager:
         store: an optional :class:`~repro.obs.store.SolutionStore`
             consulted between the memory tier and a fresh solve, and
             written through on misses (the CLI's ``--cache-dir``).
-        incremental_fingerprints: with False, every notification drops
-            the cached fingerprint outright and the next lookup hashes
-            the whole graph — the pre-incremental behaviour, kept as a
-            benchmark baseline.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        store=None,
-        incremental_fingerprints: bool = True,
-    ) -> None:
+    def __init__(self, enabled: bool = True, store=None) -> None:
         self.enabled = enabled
         self.store = store
-        self.incremental_fingerprints = incremental_fingerprints
         self.stats = CacheStats()
         self._store: Dict[Tuple[str, str], Any] = {}
         self._plans: Dict[str, Any] = {}
@@ -221,9 +211,9 @@ class AnalysisManager:
         differs from *base_cfg* (including freshly added blocks); they
         are marked pending, so the first lookup on *new_cfg* refreshes
         incrementally.  A no-op when the base was never fingerprinted
-        here, or when incremental fingerprints are disabled.
+        here, or when caching is disabled.
         """
-        if not self.enabled or not self.incremental_fingerprints:
+        if not self.enabled:
             return
         base = self._fingerprints.get(base_cfg)
         if base is None:
@@ -416,7 +406,7 @@ class AnalysisManager:
         changed) are given — the incremental refresh reconciles
         added/removed blocks itself — and dropped otherwise.
         """
-        if labels is None or not self.incremental_fingerprints:
+        if labels is None:
             self._drop_fingerprint(cfg)
         else:
             self._mark_dirty(cfg, labels)
@@ -432,10 +422,7 @@ class AnalysisManager:
         (re-hashed at the next lookup), and incremental engines keep
         their fixpoints, marking just those blocks for patching.
         """
-        if self.incremental_fingerprints:
-            self._mark_dirty(cfg, labels)
-        else:
-            self._drop_fingerprint(cfg)
+        self._mark_dirty(cfg, labels)
         engines = self._engines.get(cfg)
         if engines:
             for engine in engines.values():

@@ -14,10 +14,13 @@ in-memory hit first, then disk, then solve-and-write.
 
 Design points:
 
-* **Content addressing.**  The fingerprint is the same SHA-256 content
-  digest the in-memory tier uses (:func:`repro.obs.fingerprint.cfg_fingerprint`),
-  so a disk entry is valid for *any* graph with that content — no
-  path/mtime heuristics, no false sharing.
+* **Content addressing.**  The fingerprint is the same BLAKE2b content
+  digest the in-memory tier uses
+  (:func:`repro.obs.fingerprint.cfg_fingerprint`: a compact tuple
+  encoding of each block, folded in block order with entry/exit and
+  edge weights behind a ``COMBINE_VERSION`` salt), so a disk entry is
+  valid for *any* graph with that content — no path/mtime heuristics,
+  no false sharing.
 * **Versioned, compact serialisation.**  Entries are JSON documents
   (format ``repro-store-entry``, version 1) holding bit vectors as
   plain integers keyed by block label; the block set is pinned by the
@@ -36,9 +39,10 @@ Design points:
   file.  A corrupted or unreadable entry is treated as a miss — the
   caller re-solves and the next write heals the file.
 * **Upgrade invalidation.**  Entries live under a ``code_version``
-  segment derived from the installed package version plus the store
-  format version; upgrading the package strands old entries (never
-  misreads them), and ``SolutionStore.gc()`` / ``repro cache gc``
+  segment derived from the installed package version, the store
+  format version and the fingerprint digest version; upgrading the
+  package or changing the digest strands old entries (never misreads
+  them), and ``SolutionStore.gc()`` / ``repro cache gc``
   reclaims them.
 * **Size budgeting.**  ``gc(max_bytes=...)`` (the CLI's ``repro cache
   gc --max-bytes``) additionally evicts *current* entries,
@@ -69,6 +73,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import trace
+from repro.obs.fingerprint import COMBINE_VERSION
 
 try:  # POSIX advisory locking; the store degrades gracefully without.
     import fcntl
@@ -86,15 +91,17 @@ _SAFE_KEY = re.compile(r"[^A-Za-z0-9._-]")
 def default_code_version() -> str:
     """The salt separating incompatible store generations.
 
-    Derived from the installed package version and the store format
-    version, so both a package upgrade and a serialisation change move
-    new entries to a fresh namespace instead of misreading old ones.
+    Derived from the installed package version, the store format
+    version and the fingerprint digest version
+    (:data:`repro.obs.fingerprint.COMBINE_VERSION`), so a package
+    upgrade, a serialisation change and a digest change each move new
+    entries to a fresh namespace instead of misreading old ones.
     """
     try:
         from repro import __version__
     except ImportError:  # pragma: no cover - partial-import edge case
         __version__ = "unknown"
-    return f"{__version__}-f{STORE_FORMAT_VERSION}"
+    return f"{__version__}-f{STORE_FORMAT_VERSION}-c{COMBINE_VERSION}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ The layering per request:
 
 1. **Parse** — the inbound line goes through
    :func:`~repro.service.protocol.parse_request`; malformed lines come
-   back as ``error`` records and never touch a worker.
+   back as ``error`` records and never touch a worker.  A line longer
+   than :data:`MAX_LINE_BYTES` gets an ``error`` record too, and its
+   connection is closed.
 2. **Admission** — at most ``jobs + queue_limit`` work requests may be
    in flight; past that the daemon answers immediately with a
    ``rejected`` record (explicit back-pressure beats silent queueing).
@@ -68,6 +70,12 @@ COUNTER_CACHE_HIT = "serve.cache.hit"
 COUNTER_CACHE_MISS = "serve.cache.miss"
 COUNTER_CACHE_STORE_HIT = "serve.cache.store_hit"
 COUNTER_DISPATCH = "serve.pool.dispatch"
+COUNTER_OVERSIZED = "serve.error.oversized"
+
+#: The longest request line the daemon reads (the asyncio stream
+#: default).  A longer line is answered with an ``error`` record and
+#: the connection is closed.
+MAX_LINE_BYTES = 1 << 16
 
 #: The store key namespace response-cache entries live under.
 _RESPONSE_KEY = "serve-response"
@@ -147,6 +155,7 @@ class ReproServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._tasks: Set["asyncio.Task"] = set()
+        self._clients: Set["asyncio.Task"] = set()
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._active = 0
@@ -210,7 +219,10 @@ class ReproServer:
         if config.store_path:
             self._store = SolutionStore(config.store_path)
         server = await asyncio.start_server(
-            self._handle_client, config.host, config.port
+            self._handle_client,
+            config.host,
+            config.port,
+            limit=MAX_LINE_BYTES,
         )
         try:
             address = server.sockets[0].getsockname()
@@ -222,6 +234,13 @@ class ReproServer:
         finally:
             self._ready.set()  # never leave start_in_thread hanging
             server.close()
+            # End open connections before the loop does: a handler the
+            # loop cancels at exit makes asyncio log a traceback.
+            clients = list(self._clients)
+            for task in clients:
+                task.cancel()
+            if clients:
+                await asyncio.gather(*clients, return_exceptions=True)
             await server.wait_closed()
             # Kill busy workers first: that unblocks dispatcher threads
             # (they observe the dead pipe and return a lost record), so
@@ -235,9 +254,23 @@ class ReproServer:
     # -- connection handling --------------------------------------------
 
     async def _handle_client(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._clients.add(task)
         try:
             while not self._stop_event.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran MAX_LINE_BYTES
+                    self.tracer.count(COUNTER_OVERSIZED)
+                    await self._send(
+                        writer,
+                        protocol.error_record(
+                            None,
+                            f"request line exceeds the {MAX_LINE_BYTES}"
+                            "-byte limit; closing the connection",
+                        ),
+                    )
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -245,7 +278,14 @@ class ReproServer:
                 await self._handle_line(line, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # _serve cancels open connections when the daemon stops.
+            # Ending normally then keeps asyncio's wrapper around this
+            # callback from logging the cancellation as an error.
+            if not self._stop_event.is_set():
+                raise
         finally:
+            self._clients.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -17,9 +17,10 @@ from repro.core.lcm import analyze_lcm
 from repro.core.pipeline import optimize
 from repro.dataflow.problem import DataflowProblem, GenKillTransfer
 from repro.dataflow.solver import solve
-from repro.obs.fingerprint import cfg_fingerprint
+from repro.obs.fingerprint import COMBINE_VERSION, cfg_fingerprint
 from repro.obs.manager import AnalysisManager
 from repro.obs.store import (
+    STORE_FORMAT_VERSION,
     JSONRecord,
     SolutionStore,
     default_code_version,
@@ -204,6 +205,30 @@ class TestCodeVersion:
         from repro import __version__
 
         assert default_code_version().startswith(__version__)
+
+    def test_default_code_version_carries_the_digest_version(self):
+        assert default_code_version().endswith(f"-c{COMBINE_VERSION}")
+
+    def test_previous_digest_version_entries_are_misses(self, tmp_path):
+        # An entry written under the previous digest version sits in
+        # another namespace: a clean miss, never a decode error.
+        from repro import __version__
+
+        cfg = diamond()
+        fp = cfg_fingerprint(cfg)
+        previous = (
+            f"{__version__}-f{STORE_FORMAT_VERSION}-c{COMBINE_VERSION - 1}"
+        )
+        assert previous != default_code_version()
+        old = SolutionStore(tmp_path, code_version=previous)
+        assert old.save(fp, "liveness", compute_liveness(cfg))
+
+        current = SolutionStore(tmp_path)
+        with tracing() as tracer:
+            assert current.load(fp, "liveness", cfg=cfg) is None
+        assert tracer.counters.get("cache.disk.miss", 0) == 1
+        assert tracer.counters.get("cache.disk.corrupt", 0) == 0
+        assert current.stats()["stale_entries"] == 1
 
     def test_gc_reclaims_only_stale_versions(self, tmp_path):
         cfg = diamond()

@@ -5,6 +5,7 @@ global tracer), with real worker processes underneath — so every test
 asserts the daemon leaves no children behind.
 """
 
+import logging
 import multiprocessing
 import socket
 import threading
@@ -18,6 +19,7 @@ from repro.ir.serialize import cfg_to_json
 from repro.lang import compile_program
 from repro.service import ReproServer, Request, ServeClient, ServeConfig
 from repro.service import protocol
+from repro.service.server import MAX_LINE_BYTES
 
 SOURCE = "x = a + b; if (p) { y = a + b; } else { y = 0; } z = a + b;"
 
@@ -269,6 +271,23 @@ class TestServeProtocolEdges:
             sock.sendall(protocol.encode({"op": "ping", "id": "p"}))
             assert protocol.decode(handle.readline())["type"] == "pong"
 
+    def test_oversized_line_is_an_error_record(self, serve):
+        server, host, port = serve(jobs=1)
+        line = b'{"op": "ping", "pad": "' + b"x" * 120_000 + b'"}\n'
+        with socket.create_connection((host, port), timeout=30) as sock:
+            handle = sock.makefile("rb")
+            sock.sendall(line)
+            record = protocol.decode(handle.readline())
+            assert handle.readline() == b""  # then the daemon hangs up
+        assert record["type"] == "error"
+        assert record["id"] is None
+        assert str(MAX_LINE_BYTES) in record["message"]
+        # The daemon keeps serving the next client.
+        with ServeClient(host, port, timeout=30) as client:
+            assert client.ping()["type"] == "pong"
+            counters = client.stats()["counters"]
+        assert counters["serve.error.oversized"] == 1
+
     def test_unknown_op_is_an_error_record(self, serve):
         _, host, port = serve(jobs=1)
         with ServeClient(host, port, timeout=30) as client:
@@ -288,6 +307,29 @@ class TestServeProtocolEdges:
             )
         assert record["type"] == "error"
         assert "allow-call" in record["message"]
+
+
+class TestServeShutdown:
+    def test_stop_after_disconnect_logs_no_traceback(self, caplog):
+        # start, one optimize, close the socket, stop() at once: the
+        # open handler used to be cancelled by the loop's teardown,
+        # which asyncio logs as an unhandled CancelledError.
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        for _ in range(10):
+            server = ReproServer(ServeConfig(jobs=1))
+            host, port = server.start_in_thread()
+            try:
+                with ServeClient(host, port, timeout=30) as client:
+                    assert client.optimize(SOURCE)["status"] == "ok"
+            finally:
+                server.stop()
+        errors = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
+        assert _wait_for_no_children() == []
 
 
 class TestWorkerPool:
