@@ -357,54 +357,71 @@ def check_kill_resilience(args: List[str]) -> None:
     print("kill-resilience ok:", report.tally, report.supervisor)
 
 
-#: Per-item ceiling on incremental liveness node visits in
-#: ``incr-liveness``: 113-126 measured per item (one visit per edited
-#: block), doubled for headroom.  Region resets cost 12k-18k.
-INCR_NODE_VISIT_BOUND = 250
-
-
 #: Per-item fingerprint budget in ``incr-liveness``: one whole-graph
-#: hash of the input, then three incremental refreshes (the local-CSE
-#: copy, the transformed graph, the cleaned-up output).
-INCR_FINGERPRINTS = {"fingerprint.full": 1, "fingerprint.incr": 3}
+#: hash of the input, then two incremental refreshes (the local-CSE
+#: copy and the transformed output).
+INCR_FINGERPRINTS = {"fingerprint.full": 1, "fingerprint.incr": 2}
+
+#: Per-item ceiling on full liveness solves in ``incr-liveness``'s
+#: pipeline-mode pass: 2 measured on every item but one (which needs 1).
+PIPELINE_FULLSOLVE_BOUND = 2
 
 
 def check_incr_liveness(args: List[str]) -> None:
-    """Cold single-pass LCM on ~200 blocks: 1 solve, edit-sized patches,
-    1 full + 3 incremental fingerprints."""
+    """Cold LCM: no liveness solve and 1 isolation solve per ~200-block
+    item, 1 full + 2 incremental fingerprints; pipeline mode on the
+    pinned ~25-block corpus: at most 2 full liveness solves per item."""
     from repro.api import optimize_cfg
     from repro.corpus import generate_source, profile_config
     from repro.lang.lower import compile_program
     from repro.obs.manager import AnalysisManager
     from repro.obs.trace import Tracer, activate, deactivate
 
-    config = profile_config("mixed", 220)
-    visits = []
-    for seed in range(3):
-        cfg = compile_program(generate_source(seed, config))
-        manager = AnalysisManager()
+    def traced(cfg, pipeline):
         tracer = Tracer()
         activate(tracer)
         try:
-            outcome = optimize_cfg(cfg, "lcm", manager=manager)
+            optimize_cfg(
+                cfg, "lcm", pipeline=pipeline, manager=AnalysisManager()
+            )
         finally:
             deactivate()
+        return tracer
+
+    config = profile_config("mixed", 220)
+    for seed in range(3):
+        tracer = traced(compile_program(generate_source(seed, config)), False)
         fullsolves = tracer.counters.get("dataflow.incr.fullsolve", 0)
-        assert fullsolves == 1, (seed, fullsolves)
+        assert fullsolves == 0, (seed, fullsolves)
+        problems = [
+            event.attrs.get("problem")
+            for event in tracer.events
+            if event.name == "dataflow.solve"
+        ]
+        assert problems == ["isolation"], (seed, problems)
         hashes = {
             name: tracer.counters.get(name, 0) for name in INCR_FINGERPRINTS
         }
         assert hashes == INCR_FINGERPRINTS, (seed, hashes)
-        # The engine that did the cleanup work (one full solve), not a
-        # fresh one the lookup would create.
-        stats = manager.liveness(outcome.transform.cfg).stats
-        assert stats.full_solves == 1, (seed, stats)
-        assert stats.node_visits <= INCR_NODE_VISIT_BOUND, (seed, stats)
-        visits.append(stats.node_visits)
+    # The pinned pipeline corpus: seeds 0-69 x three profiles, 12
+    # statements at depth 3 (about 25 blocks each).
+    worst = 0
+    items = 0
+    for profile in ("mixed", "loopy", "branchy"):
+        config = profile_config(profile, 12, 3)
+        for seed in range(70):
+            cfg = compile_program(generate_source(seed, config))
+            tracer = traced(cfg, True)
+            fullsolves = tracer.counters.get("dataflow.incr.fullsolve", 0)
+            assert fullsolves <= PIPELINE_FULLSOLVE_BOUND, (
+                profile, seed, fullsolves)
+            worst = max(worst, fullsolves)
+            items += 1
     print(
-        f"incr-liveness ok: 1 full solve per item, node visits {visits}",
-        f"(bound {INCR_NODE_VISIT_BOUND}), fingerprints per item",
-        INCR_FINGERPRINTS,
+        "incr-liveness ok: single pass 0 liveness solves, 1 isolation",
+        f"solve and {INCR_FINGERPRINTS} per item; pipeline at most",
+        f"{worst} full solves per item over {items} items",
+        f"(bound {PIPELINE_FULLSOLVE_BOUND})",
     )
 
 

@@ -165,10 +165,9 @@ def _node_based(cfg: CFG, variant: str, ctx: OptimizeContext) -> TransformResult
     )
     placements = krs_placements(analysis, variant)
     # The node-level formulation accounts for isolation itself (for the
-    # lcm variant); the transform's own copy machinery still runs so
-    # that the two mechanisms can be compared, but for BCM/ALCM the
-    # "replace everything" plans need the tentative copies collapsed
-    # only when truly dead, which is the default behaviour.
+    # lcm variant); the transform's isolation solve still decides the
+    # generator copies, which for the BCM/ALCM "replace everything"
+    # plans keeps only copies whose temp is live.
     result = apply_placements(expanded, placements, manager=ctx.manager)
     return TransformResult(
         original=cfg,

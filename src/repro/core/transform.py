@@ -6,17 +6,24 @@ expression, :func:`apply_placements` produces the transformed program:
 1. **Replace** the upwards-exposed occurrence ``x = e`` in every
    ``delete_blocks`` member with ``x = t``.
 2. **Initialise** ``t``: insert ``t = e`` at every ``insert_entries``
-   block entry and on every ``insert_edges`` edge (realised by edge
-   splitting; simultaneous insertions of several expressions on one edge
-   share the split block).
-3. **Copy at generators**: every *remaining* occurrence ``x = e`` is
-   tentatively rewritten to ``t = e; x = t`` so its value can flow to
-   replaced occurrences downstream.
-4. **Suppress isolated copies**: a tentative copy whose temporary is
-   dead after the pair is collapsed back to the original ``x = e``.
-   This reproduces the paper's isolation treatment *semantically*; the
-   analyses' own isolation handling is cross-checked against it in the
-   tests.
+   block entry, every ``insert_exits`` block exit and on every
+   ``insert_edges`` edge (realised by edge splitting; simultaneous
+   insertions of several expressions on one edge share the split
+   block).
+3. **Copy at generators**: a *remaining* occurrence ``x = e`` becomes
+   ``t = e; x = t`` only when its value can reach a replaced occurrence
+   downstream — it is the last occurrence of ``e`` in its block, the
+   block has no exit insertion of ``t``, and ``t`` is live at the
+   block's exit.  Every other occurrence stays ``x = e``: its temp would
+   be *isolated*, feeding nothing.
+
+Step 3, and which insertions are written at all, rest on one backward
+**temp-liveness** solve on the *input* graph, the edge form of the
+paper's ISOLATED analysis.  Column *j* is placement *j*'s temp::
+
+    GEN(n)  = delete(n) ∧ ¬entry(n)
+    KILL(n) = entry(n) ∨ exit(n) ∨ generator(n)
+    LIVEOUT(m) = ∪_s LIVEIN(s), less the temps inserted on the edge (m, s)
 
 The result is always semantically equivalent to the input for *any*
 placement that is value-correct; the interpreter-based checkers in
@@ -26,60 +33,32 @@ the library.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.liveness import LivenessResult
-from repro.core.placement import Placement, PlacementError, upward_exposed_index
-from repro.dataflow.incremental import IncrementalLiveness
+from repro.core.placement import Placement, PlacementError
+from repro.dataflow.dense import compile_plan
 from repro.ir.cfg import CFG, Edge
-from repro.ir.expr import Expr, Var
+from repro.ir.expr import Var
 from repro.ir.instr import Assign
-from repro.obs.manager import (
-    AnalysisManager,
-    notify_cfg_derived,
-    notify_cfg_edited,
-)
-
-
-def _liveness_engine(
-    cfg: CFG, manager: Optional[AnalysisManager], live_at_exit=()
-) -> IncrementalLiveness:
-    """The incremental liveness engine for *cfg*.
-
-    With a manager, the engine is the manager-held one — its global
-    solve is memoized by content fingerprint (a second transformation
-    run producing the same intermediate programs hits the cache) and it
-    is kept current through the notification hooks.  Without one, a
-    private engine is returned; callers must pair every mutation with
-    :func:`_mark_edited` / :func:`_mark_mutated` so both kinds stay in
-    sync.
-    """
-    if manager is None:
-        return IncrementalLiveness(cfg, live_at_exit=live_at_exit)
-    return manager.liveness(cfg, live_at_exit=live_at_exit)
-
-
-def _mark_edited(
-    cfg: CFG,
-    engine: IncrementalLiveness,
-    labels,
-    manager: Optional[AnalysisManager],
-) -> None:
-    """Signal instruction-level edits to *labels* after mutating *cfg*.
-
-    The module hook reaches every live manager (including the one
-    holding *engine*, when there is one); a private engine gets the
-    marks directly.
-    """
-    notify_cfg_edited(cfg, labels)
-    if manager is None:
-        engine.blocks_edited(labels)
+from repro.obs.fingerprint import expr_code
+from repro.obs.manager import AnalysisManager, notify_cfg_derived
+from repro.obs.store import JSONRecord
+from repro.obs.trace import span
 
 
 @dataclass
 class TransformResult:
-    """The outcome of applying a set of placements."""
+    """The outcome of applying a set of placements.
+
+    ``copies_added`` holds one ``(label, temp)`` per generator, and
+    ``copies_collapsed`` those left as ``x = e`` because their temp was
+    isolated.  An entry insertion feeding only the replaced occurrence
+    right after it, in a block that also generates the temp, is isolated
+    too: the pair stays ``x = e`` and counts as a copy added and collapsed.
+    """
 
     original: CFG
     cfg: CFG
@@ -92,8 +71,9 @@ class TransformResult:
     @property
     def copy_blocks(self) -> Set[str]:
         """Blocks where a generating occurrence kept its copy (COPY set)."""
-        collapsed = set(self.copies_collapsed)
-        return {label for label, _ in self.copies_added if (label, _) not in collapsed}
+        kept = Counter(self.copies_added)
+        kept.subtract(self.copies_collapsed)
+        return {label for (label, _), count in kept.items() if count > 0}
 
     def describe(self) -> str:
         lines = [p.describe() for p in self.placements if not p.is_identity]
@@ -102,25 +82,81 @@ class TransformResult:
         return "\n".join(lines)
 
 
-def _is_live_after(
-    cfg: CFG, liveness: LivenessResult, label: str, index: int, var: str
-) -> bool:
-    """Is *var* live immediately after instruction *index* of *label*?"""
-    block = cfg.block(label)
-    for instr in block.instrs[index + 1 :]:
-        if var in instr.uses():
-            return True
-        if instr.target == var:
-            return False
-    if block.terminator is not None and var in block.terminator.uses():
-        return True
-    return liveness.is_live_out(label, var)
+def _isolation_key(placements: Sequence[Placement]) -> str:
+    """The memo key of the isolation solve: a digest of the plans' content."""
+    code = [
+        (expr_code(p.expr), sorted(p.insert_edges), sorted(p.insert_entries),
+         sorted(p.insert_exits), sorted(p.delete_blocks))
+        for p in placements
+    ]
+    digest = blake2b(repr(code).encode("utf-8"), digest_size=16)
+    return f"isolation:{digest.hexdigest()}"
+
+
+def _solve_isolation(
+    plan,
+    gen: Dict[str, int],
+    kill: Dict[str, int],
+    edge_kill: Dict[Edge, int],
+    width: int,
+) -> JSONRecord:
+    """Backward temp liveness as plain int sweeps.
+
+    *gen*, *kill* and *edge_kill* hold per-label (per-edge) column
+    masks; labels absent from them are transparent.  Returns the
+    ``live_in`` and ``live_out`` masks in block order as a record the
+    disk store can keep.  Runs under a ``dataflow.solve`` span with
+    ``problem="isolation"``.
+    """
+    labels, index, succs = plan.labels, plan.index, plan.succs
+    n = len(labels)
+    full = (1 << width) - 1
+    gen_row = [0] * n
+    keep_row = [full] * n
+    for label, bits in gen.items():
+        gen_row[index[label]] = bits
+    for label, bits in kill.items():
+        keep_row[index[label]] = full & ~bits
+    edge_kills: Dict[int, Dict[int, int]] = {}
+    for (src, dst), bits in edge_kill.items():
+        edge_kills.setdefault(index[src], {})[index[dst]] = bits
+
+    with span(
+        "dataflow.solve", problem="isolation", strategy="dense"
+    ) as solve_span:
+        live_in = [0] * n
+        live_out = [0] * n
+        sweeps = 0
+        node_visits = 0
+        changed = True
+        while changed:
+            changed = False
+            sweeps += 1
+            for i in plan.backward_order:
+                node_visits += 1
+                out = 0
+                kills = edge_kills.get(i)
+                if kills is None:
+                    for s in succs[i]:
+                        out |= live_in[s]
+                else:
+                    for s in succs[i]:
+                        out |= live_in[s] & ~kills.get(s, 0)
+                inn = gen_row[i] | (out & keep_row[i])
+                if inn != live_in[i] or out != live_out[i]:
+                    live_in[i] = inn
+                    live_out[i] = out
+                    changed = True
+        solve_span.set(
+            sweeps=sweeps, node_visits=node_visits, bitvec_ops=0, blocks=n,
+            width=width, backend="dense",
+        )
+    return JSONRecord({"live_in": live_in, "live_out": live_out})
 
 
 def apply_placements(
     cfg: CFG,
     placements: Sequence[Placement],
-    add_copies: bool = True,
     collapse_isolated_copies: bool = True,
     drop_dead_insertions: bool = True,
     manager: Optional[AnalysisManager] = None,
@@ -129,23 +165,27 @@ def apply_placements(
 
     Args:
         cfg: the program to transform (left untouched).
-        placements: one plan per expression; temps must be distinct.
-        add_copies: rewrite remaining occurrences to ``t = e; x = t`` so
-            their value reaches replaced occurrences (step 3 above).
-            Disable only for algorithms that provably need no
-            generators, or to study the resulting miscompiles.
-        collapse_isolated_copies: undo copies whose temp is dead
-            (step 4).  Disabling yields the ALCM-style "copy
-            everywhere" program, used by the isolation ablation.
-        drop_dead_insertions: remove inserted ``t = e`` whose temp is
+        placements: one plan per expression; temps and expressions
+            must be pairwise distinct.
+        collapse_isolated_copies: leave a generator as ``x = e`` when
+            its temp is isolated (step 3).  Disabling writes
+            ``t = e; x = t`` at every generator — the "copy everywhere"
+            program.
+        drop_dead_insertions: skip inserted ``t = e`` whose temp is
             dead — a defensive cleanup for baselines that may insert
-            uselessly; LCM/BCM never trigger it.
+            uselessly; LCM/BCM never trigger it.  Split blocks are
+            created either way.
         manager: optional :class:`repro.obs.manager.AnalysisManager`
-            memoizing the liveness solves of the cleanup steps.
+            sharing the input graph's dense plan and memoizing the
+            isolation solve.
     """
     temps = [p.temp for p in placements]
     if len(set(temps)) != len(temps):
         raise PlacementError("placements must use pairwise distinct temps")
+    if len({p.expr for p in placements}) != len(placements):
+        raise PlacementError(
+            "placements must use pairwise distinct expressions"
+        )
     # Uniquify temp names against the program (re-optimising an already
     # transformed program would otherwise reuse last round's temps).
     existing = set(cfg.variables())
@@ -179,187 +219,152 @@ def apply_placements(
         temps={p.temp for p in placements},
     )
 
-    # Labels whose content steps 1-3 change, relative to the input; the
-    # copy's fingerprint state is derived from the input's through them.
-    step_edits: Set[str] = set()
+    # One scan for the occurrences of every planned expression:
+    # label -> column -> instruction positions.
+    column = {p.expr: j for j, p in enumerate(placements)}
+    occurrences: Dict[str, Dict[int, List[int]]] = {}
+    for block in cfg:
+        here: Optional[Dict[int, List[int]]] = None
+        for pos, instr in enumerate(block.instrs):
+            j = column.get(instr.expr)
+            if j is not None:
+                if here is None:
+                    here = occurrences[block.label] = {}
+                here.setdefault(j, []).append(pos)
 
-    # Step 1: replace deleted occurrences.
-    for placement in placements:
-        for label in sorted(placement.delete_blocks):
-            index = upward_exposed_index(work, label, placement.expr)
-            block = work.block(label)
-            old = block.instrs[index]
-            block.instrs[index] = Assign(old.target, Var(placement.temp))
-            step_edits.add(label)
+    # Local predicates, one bit per column.  A deleted occurrence is
+    # the block's first (validation proved it upwards-exposed); every
+    # other occurrence is a generator.
+    delete: Dict[str, int] = {}
+    entries: Dict[str, List[int]] = {}
+    exits: Dict[str, List[int]] = {}
+    kill: Dict[str, int] = {}
+    edge_kill: Dict[Edge, int] = {}
+    for j, placement in enumerate(placements):
+        for label in placement.delete_blocks:
+            delete[label] = delete.get(label, 0) | 1 << j
+        for label in placement.insert_entries | placement.insert_exits:
+            kill[label] = kill.get(label, 0) | 1 << j
+        for label in placement.insert_entries:
+            entries.setdefault(label, []).append(j)
+        for label in placement.insert_exits:
+            exits.setdefault(label, []).append(j)
+        for edge in placement.insert_edges:
+            edge_kill[edge] = edge_kill.get(edge, 0) | 1 << j
+    gen = {
+        label: bits & ~sum(1 << j for j in entries.get(label, ()))
+        for label, bits in delete.items()
+    }
+    generator: Dict[str, int] = {}
+    for label, here in occurrences.items():
+        generator[label] = sum(
+            1 << j for j, positions in here.items()
+            if len(positions) > (delete.get(label, 0) >> j & 1)
+        )
+        kill[label] = kill.get(label, 0) | generator[label]
 
-    # Step 3 (before insertions so indices refer to original occurrences):
-    # tentative copies at every remaining occurrence.  The rewrite keeps
-    # every occurrence of the planned expression in place (``x = e``
-    # becomes ``t = e; x = t``) and never plants one in a new block, so
-    # a single occurrence scan up front serves every placement —
-    # including later placements over the same expression.
-    if add_copies:
-        planned = {p.expr for p in placements}
-        occ_labels: Dict[Expr, List[str]] = {}
-        for block in work:
-            seen_here: Set[Expr] = set()
-            for instr in block.instrs:
-                expr = instr.expr
-                if expr in planned and expr not in seen_here:
-                    seen_here.add(expr)
-                    occ_labels.setdefault(expr, []).append(block.label)
-        for placement in placements:
-            for label in occ_labels.get(placement.expr, ()):
-                block = work.block(label)
-                rewritten: List[Assign] = []
-                changed = False
-                for instr in block.instrs:
-                    if instr.expr == placement.expr and instr.target != placement.temp:
-                        rewritten.append(Assign(placement.temp, placement.expr))
-                        rewritten.append(Assign(instr.target, Var(placement.temp)))
-                        result.copies_added.append((block.label, placement.temp))
-                        changed = True
-                    else:
-                        rewritten.append(instr)
-                if changed:
-                    block.instrs[:] = rewritten
-                    step_edits.add(label)
+    def solve() -> JSONRecord:
+        if manager is None:
+            plan = compile_plan(cfg)
+        else:
+            plan = manager.dense_plan(cfg)
+        return _solve_isolation(plan, gen, kill, edge_kill, len(placements))
 
-    # Step 2a: entry insertions (prepended, so they precede every use)
-    # and exit insertions (appended, after every occurrence).
-    for placement in placements:
-        for label in sorted(placement.insert_entries):
-            work.block(label).instrs.insert(
-                0, Assign(placement.temp, placement.expr)
-            )
-            step_edits.add(label)
-        for label in sorted(placement.insert_exits):
-            work.block(label).append(Assign(placement.temp, placement.expr))
-            step_edits.add(label)
+    if manager is None:
+        facts = solve()
+    else:
+        facts = manager.cached(cfg, _isolation_key(placements), solve)
+    live_in, live_out = facts.payload["live_in"], facts.payload["live_out"]
+    index = {label: i for i, label in enumerate(cfg.labels)}
 
-    # Step 2b: edge insertions; one split block per edge, shared by all
-    # expressions inserting there.  The split retargets the source's
-    # terminator, so both the new block and the source are edits.
+    # Write every touched block once, in the order the steps above lay
+    # its instructions out: entry insertions (latest placement first),
+    # the original instructions with replacements and kept copies, then
+    # exit insertions.
+    collapse = collapse_isolated_copies
+    drop = drop_dead_insertions
+    edited: Set[str] = set()
+    touched = set(occurrences) | set(delete) | set(entries) | set(exits)
+    for label in cfg.labels:
+        if label not in touched:
+            continue
+        here = occurrences.get(label, {})
+        deleted = delete.get(label, 0)
+        generates = generator.get(label, 0)
+        out = live_out[index[label]]
+        exit_bits = sum(1 << j for j in exits.get(label, ()))
+        live_out_kept = out & ~exit_bits
+        at_entry = entries.get(label, ())
+        # The entry insertion right before the first instruction, when
+        # that instruction is its replaced occurrence and a generator
+        # later in the block redefines the temp, feeds only that read:
+        # it is isolated, and the pair stays the original ``x = e``.
+        isolated_entry = None
+        if collapse and at_entry:
+            j = at_entry[0]
+            if (deleted & generates) >> j & 1 and here[j][0] == 0:
+                isolated_entry = j
+        rewritten: List[Assign] = []
+
+        def insert(j: int, live: int) -> None:
+            placement = placements[j]
+            if not drop or live >> j & 1:
+                rewritten.append(Assign(placement.temp, placement.expr))
+            else:
+                result.insertions_dropped.append((label, placement.temp))
+
+        for j in reversed(at_entry):
+            if j != isolated_entry:
+                insert(j, deleted | (live_out_kept & ~generates))
+        replaced = {here[j][0] for j in here if deleted >> j & 1}
+        last = {positions[-1] for positions in here.values()}
+        for pos, instr in enumerate(work.block(label).instrs):
+            j = column.get(instr.expr)
+            if j is None:
+                rewritten.append(instr)
+                continue
+            temp = placements[j].temp
+            if pos in replaced and j != isolated_entry:
+                rewritten.append(Assign(instr.target, Var(temp)))
+                continue
+            result.copies_added.append((label, temp))
+            if not collapse or (pos in last and live_out_kept >> j & 1):
+                rewritten.append(Assign(temp, instr.expr))
+                rewritten.append(Assign(instr.target, Var(temp)))
+            else:
+                result.copies_collapsed.append((label, temp))
+                rewritten.append(instr)
+        for j in exits.get(label, ()):
+            insert(j, out)
+        if rewritten != work.block(label).instrs:
+            work.block(label).instrs[:] = rewritten
+            edited.add(label)
+
+    # Edge insertions; one split block per edge, shared by all
+    # expressions inserting there and created even when every insertion
+    # on it is dead.  The split retargets the source's terminator, so
+    # both the new block and the source are edits.
     by_edge: Dict[Edge, List[Placement]] = {}
     for placement in placements:
         for edge in placement.insert_edges:
             by_edge.setdefault(edge, []).append(placement)
-    split_labels: Set[str] = set()
     for edge in sorted(by_edge):
         src, dst = edge
         split = work.split_edge(src, dst, f"ins_{src}_{dst}")
+        live = live_in[index[dst]]
         for placement in sorted(by_edge[edge], key=lambda p: p.temp):
-            split.append(Assign(placement.temp, placement.expr))
-        split_labels.add(split.label)
-        step_edits.add(split.label)
-        step_edits.add(src)
+            if not drop or live >> column[placement.expr] & 1:
+                split.append(Assign(placement.temp, placement.expr))
+            else:
+                result.insertions_dropped.append((split.label, placement.temp))
+        edited.add(split.label)
+        edited.add(src)
 
     # Seed the copy's fingerprint state from the input's: only the
-    # blocks in step_edits hash differently, so the first fingerprint
-    # of the result is an incremental patch, not a whole-CFG hash.
-    notify_cfg_derived(work, cfg, sorted(step_edits))
-
-    # Step 4: collapse isolated copies and drop dead insertions.  One
-    # incremental engine serves both cleanups: a single full liveness
-    # solve up front, then edit-sized column-wise patches after each edit
-    # instead of the global re-solves this loop used to do.  Temps are
-    # only ever defined at copy sites and insertion sites, so both
-    # sweeps visit just those blocks.
-    if (collapse_isolated_copies and result.copies_added) or drop_dead_insertions:
-        engine = _liveness_engine(work, manager)
-        if collapse_isolated_copies and result.copies_added:
-            _collapse_dead_copies(work, result, engine, manager)
-        if drop_dead_insertions:
-            def_sites = split_labels | {
-                label for label, _ in result.copies_added
-            }
-            for placement in placements:
-                def_sites |= placement.insert_entries
-                def_sites |= placement.insert_exits
-            _drop_dead_insertions(work, result, engine, manager, def_sites)
-
+    # edited blocks hash differently, so the first fingerprint of the
+    # result is an incremental patch, not a whole-CFG hash.
+    notify_cfg_derived(work, cfg, sorted(edited))
     return result
-
-
-def _collapse_dead_copies(
-    cfg: CFG,
-    result: TransformResult,
-    engine: IncrementalLiveness,
-    manager: Optional[AnalysisManager] = None,
-) -> None:
-    """Rewrite ``t = e; x = t`` back to ``x = e`` where *t* dies at once."""
-    engine.solve()
-    copy_sites = {label for label, _ in result.copies_added}
-    for block in cfg:
-        if block.label not in copy_sites:
-            continue
-        changed = False
-        i = 0
-        while i + 1 < len(block.instrs):
-            first, second = block.instrs[i], block.instrs[i + 1]
-            if (
-                first.target in result.temps
-                and second.expr == Var(first.target)
-                and second.target != first.target
-                and (block.label, first.target) in result.copies_added
-                and not engine.is_live_after(block.label, i + 1, first.target)
-            ):
-                block.instrs[i : i + 2] = [Assign(second.target, first.expr)]
-                result.copies_collapsed.append((block.label, first.target))
-                changed = True
-                # The facts stay exact.  The rewrite drops a def of t and
-                # the one use of t that def covered, so the block's
-                # upward-exposed uses are unchanged and its defs only
-                # shrink: its transfer grows, in t's column alone.  Since
-                # t is dead after the pair, t's live-in is unchanged too,
-                # so no block's facts move (later pairs here may keep
-                # using this block's exit fact), and the patch at the
-                # block boundary is a single visit to this block.
-            else:
-                i += 1
-        if changed:
-            _mark_edited(cfg, engine, [block.label], manager)
-
-
-def _drop_dead_insertions(
-    cfg: CFG,
-    result: TransformResult,
-    engine: IncrementalLiveness,
-    manager: Optional[AnalysisManager] = None,
-    candidates: Optional[Set[str]] = None,
-) -> None:
-    """Remove inserted/copy definitions of temps that are never used.
-
-    *candidates*, when given, is the set of labels that can contain a
-    temp definition (insertion sites, split blocks, copy sites); other
-    blocks define no temps and are skipped.  Removals never create temp
-    definitions elsewhere, so the set stays valid across rounds.
-    """
-    engine.solve()
-    changed = True
-    while changed:
-        changed = False
-        edited: List[str] = []
-        for block in cfg:
-            if candidates is not None and block.label not in candidates:
-                continue
-            keep: List[Assign] = []
-            for i, instr in enumerate(block.instrs):
-                if instr.target in result.temps and not engine.is_live_after(
-                    block.label, i, instr.target
-                ):
-                    result.insertions_dropped.append((block.label, instr.target))
-                    changed = True
-                else:
-                    keep.append(instr)
-            if len(keep) != len(block.instrs):
-                block.instrs[:] = keep
-                edited.append(block.label)
-        if edited:
-            # Facts stay frozen within the round (every block decides
-            # against the same fixpoint — the old re-solve-per-round
-            # semantics); the patch lands at the round boundary.
-            _mark_edited(cfg, engine, edited, manager)
 
 
 def eliminate_dead_code(
@@ -369,33 +374,14 @@ def eliminate_dead_code(
 ) -> int:
     """Iteratively remove dead assignments to the *candidates* variables.
 
-    Returns the number of instructions removed.  Only assignments whose
-    target is in *candidates* are touched (all right-hand sides in this
-    IR are pure, so removal is always sound for dead targets).  Solves
-    liveness once (memoized through *manager* when given) and patches
-    the fixpoint incrementally between rounds.
+    Returns the number of instructions removed.  Nothing is live at the
+    exit; otherwise this is
+    :func:`repro.passes.dce.dead_code_elimination` restricted to
+    assignments whose target is in *candidates*.
     """
-    candidate_set = set(candidates)
-    engine = _liveness_engine(cfg, manager)
-    engine.solve()
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        edited: List[str] = []
-        for block in cfg:
-            keep: List[Assign] = []
-            for i, instr in enumerate(block.instrs):
-                if instr.target in candidate_set and not engine.is_live_after(
-                    block.label, i, instr.target
-                ):
-                    removed += 1
-                    changed = True
-                else:
-                    keep.append(instr)
-            if len(keep) != len(block.instrs):
-                block.instrs[:] = keep
-                edited.append(block.label)
-        if edited:
-            _mark_edited(cfg, engine, edited, manager)
-    return removed
+    # Deferred: repro.passes imports repro.core.
+    from repro.passes.dce import dead_code_elimination
+
+    return dead_code_elimination(
+        cfg, observable=(), manager=manager, candidates=candidates
+    )

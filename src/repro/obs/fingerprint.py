@@ -54,16 +54,17 @@ from repro.obs import trace
 COMBINE_VERSION = 3
 
 
-def _expr_code(expr) -> Any:
+def expr_code(expr) -> Any:
+    """The compact, injective tuple encoding of *expr* used in digests."""
     kind = type(expr)
     if kind is Var:
         return expr.name
     if kind is Const:
         return expr.value
     if kind is BinExpr:
-        return (expr.op, _expr_code(expr.left), _expr_code(expr.right))
+        return (expr.op, expr_code(expr.left), expr_code(expr.right))
     if kind is UnaryExpr:
-        return (expr.op, _expr_code(expr.operand))
+        return (expr.op, expr_code(expr.operand))
     raise SerializeError(f"not an expression: {expr!r}")
 
 
@@ -84,7 +85,7 @@ def block_fingerprint(block: BasicBlock) -> bytes:
     if kind is Jump:
         term_code: tuple = (term.target,)
     elif kind is CondBranch:
-        term_code = (_expr_code(term.cond), term.then_target, term.else_target)
+        term_code = (expr_code(term.cond), term.then_target, term.else_target)
     elif kind is Halt:
         term_code = ()
     elif term is None:
@@ -93,7 +94,7 @@ def block_fingerprint(block: BasicBlock) -> bytes:
         )
     else:
         raise SerializeError(f"unknown terminator {term!r}")
-    instrs = [(instr.target, _expr_code(instr.expr)) for instr in block.instrs]
+    instrs = [(instr.target, expr_code(instr.expr)) for instr in block.instrs]
     code = (block.label, instrs, term_code)
     return blake2b(repr(code).encode("utf-8"), digest_size=16).digest()
 

@@ -32,6 +32,7 @@ def dead_code_elimination(
     manager: Optional[AnalysisManager] = None,
     blocks: Optional[Iterable[str]] = None,
     edited: Optional[List[str]] = None,
+    candidates: Optional[Iterable[str]] = None,
 ) -> int:
     """Remove dead assignments from *cfg* in place; returns the count.
 
@@ -54,6 +55,8 @@ def dead_code_elimination(
             only expose new dead stores at or upstream of itself.
         edited: when given, labels of blocks actually changed are
             appended (possibly repeatedly across rounds).
+        candidates: when given, only assignments to these variables
+            are removed; every other assignment is kept, dead or not.
     """
     live_at_exit = (
         sorted(cfg.variables()) if observable is None else sorted(set(observable))
@@ -64,6 +67,7 @@ def dead_code_elimination(
         engine = manager.liveness(cfg, live_at_exit=live_at_exit)
     engine.solve()
     scope = None if blocks is None else set(blocks)
+    targets = None if candidates is None else set(candidates)
     removed = 0
     changed = True
     while changed:
@@ -74,7 +78,9 @@ def dead_code_elimination(
                 continue
             keep: List = []
             for i, instr in enumerate(block.instrs):
-                if not engine.is_live_after(block.label, i, instr.target):
+                if (
+                    targets is None or instr.target in targets
+                ) and not engine.is_live_after(block.label, i, instr.target):
                     removed += 1
                     changed = True
                 else:

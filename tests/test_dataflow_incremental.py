@@ -23,7 +23,6 @@ from tests.helpers import diamond, do_while_invariant
 from repro.analysis.liveness import compute_liveness, liveness_of
 from repro.bench.generators import GeneratorConfig, random_cfg
 from repro.bench.shapegen import ShapeConfig, random_shape_cfg
-from repro.core.transform import _is_live_after
 from repro.dataflow.incremental import IncrementalLiveness
 from repro.ir.cfg import CFGError
 from repro.ir.expr import BinExpr, Const, Var
@@ -38,6 +37,25 @@ from repro.obs.trace import Tracer, activate, deactivate
 SMALL = GeneratorConfig(statements=10, max_depth=2)
 SHAPES = ShapeConfig(blocks=8, back_edge_probability=0.5)
 LOOPY = ShapeConfig(blocks=14, back_edge_probability=0.7, instrs_per_block=3)
+
+
+def _is_live_after(cfg, liveness, label, index, var):
+    """Is *var* live immediately after instruction *index* of *label*?
+
+    The from-scratch reference for the engine's point query: scan the
+    block tail, then fall back on a solved
+    :class:`~repro.analysis.liveness.LivenessResult`.
+    """
+    block = cfg.block(label)
+    for instr in block.instrs[index + 1 :]:
+        if var in instr.uses():
+            return True
+        if instr.target == var:
+            return False
+    if block.terminator is not None and var in block.terminator.uses():
+        return True
+    return liveness.is_live_out(label, var)
+
 
 quick = settings(
     max_examples=25,
