@@ -60,13 +60,6 @@ def _format(cell: object) -> str:
     return str(cell)
 
 
-def print_table(table: Table) -> None:
-    """Print with a blank line around, for readable bench output."""
-    print()
-    print(table.render())
-    print()
-
-
 # ---------------------------------------------------------------------------
 # Report registry: benchmark modules record their tables here and the
 # benchmark suite's conftest prints everything in the terminal summary

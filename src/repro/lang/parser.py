@@ -4,7 +4,7 @@ Grammar (EBNF)::
 
     program   := stmt*
     stmt      := IDENT '=' expr ';'
-               | 'skip' ';'
+               | 'skip' ';' | 'break' ';' | 'continue' ';'
                | 'if' '(' expr ')' block ('else' block)?
                | 'while' '(' expr ')' block
                | 'do' block 'while' '(' expr ')' ';'
@@ -14,11 +14,20 @@ Grammar (EBNF)::
     atom      := IDENT | NUMBER | '-' NUMBER
 
 Expressions are single-operator by construction, matching the IR.
+
+The parser reads the lexer's parallel ``kinds`` / ``texts`` / ``starts``
+lists (:func:`repro.lang.lexer.scan`) by index; no token objects are
+built.  Every real token has non-empty text and only ``EOF`` has the
+empty text, and an operator or keyword text belongs to exactly one
+kind, so most tests compare the text alone.  A statement's ``line`` is
+found by counting newlines forward from the previous statement's
+start, and an error's line and column are computed from the offending
+token's offset only when it is raised.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.ir.expr import (
     BINARY_OPS,
@@ -31,7 +40,7 @@ from repro.ir.expr import (
 )
 from repro.lang import ast
 from repro.lang.errors import ParseError
-from repro.lang.lexer import Token, tokenize
+from repro.lang.lexer import position, scan
 
 _BINARY = frozenset(op for op in BINARY_OPS if not op.isalpha())
 _UNARY = frozenset({"-", "!", "~"})
@@ -39,170 +48,163 @@ _FUNCTIONS = frozenset({"min", "max", "abs"})
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
-        self._tokens = tokens
+    def __init__(self, source: str) -> None:
+        self._source = source
+        self._kinds, self._texts, self._starts = scan(source)
         self._pos = 0
+        # Line of the source offset ``_line_offset``.
+        self._line = 1
+        self._line_offset = 0
 
     # -- token plumbing --------------------------------------------------
 
-    @property
-    def _cur(self) -> Token:
-        return self._tokens[self._pos]
+    def _error(self, message: str, index: int) -> ParseError:
+        line, column = position(self._source, self._starts[index])
+        return ParseError(message, line, column)
 
-    def _advance(self) -> Token:
-        token = self._cur
-        if token.kind != "EOF":
-            self._pos += 1
-        return token
+    def _found(self, index: int) -> str:
+        return repr(self._texts[index] or "end of input")
 
-    def _expect(self, kind: str, text: str = "") -> Token:
-        token = self._cur
-        if token.kind != kind or (text and token.text != text):
-            wanted = text or kind
-            raise ParseError(
-                f"expected {wanted!r}, found {token.text or 'end of input'!r}",
-                token.line,
-                token.column,
+    def _expect(self, text: str) -> None:
+        pos = self._pos
+        if self._texts[pos] != text:
+            raise self._error(
+                f"expected {text!r}, found {self._found(pos)}", pos
             )
-        return self._advance()
+        self._pos = pos + 1
 
-    def _at(self, kind: str, text: str = "") -> bool:
-        token = self._cur
-        return token.kind == kind and (not text or token.text == text)
+    def _line_at(self, index: int) -> int:
+        """Line of token *index*; tokens are asked for in source order."""
+        start = self._starts[index]
+        self._line += self._source.count("\n", self._line_offset, start)
+        self._line_offset = start
+        return self._line
 
     # -- grammar ----------------------------------------------------------
 
     def program(self) -> ast.Program:
         body = []
-        while not self._at("EOF"):
+        kinds = self._kinds
+        while kinds[self._pos] != "EOF":
             body.append(self.statement())
         return ast.Program(tuple(body))
 
     def block(self) -> Tuple[ast.Stmt, ...]:
-        self._expect("OP", "{")
+        self._expect("{")
         body = []
-        while not self._at("OP", "}"):
-            if self._at("EOF"):
-                raise ParseError("unterminated block", self._cur.line, self._cur.column)
+        kinds, texts = self._kinds, self._texts
+        while texts[self._pos] != "}":
+            if kinds[self._pos] == "EOF":
+                raise self._error("unterminated block", self._pos)
             body.append(self.statement())
-        self._expect("OP", "}")
+        self._pos += 1
         return tuple(body)
 
     def statement(self) -> ast.Stmt:
-        token = self._cur
-        if token.kind == "KEYWORD":
-            if token.text == "skip":
-                self._advance()
-                self._expect("OP", ";")
-                return ast.SkipStmt(token.line)
-            if token.text == "break":
-                self._advance()
-                self._expect("OP", ";")
-                return ast.BreakStmt(token.line)
-            if token.text == "continue":
-                self._advance()
-                self._expect("OP", ";")
-                return ast.ContinueStmt(token.line)
-            if token.text == "if":
-                self._advance()
-                self._expect("OP", "(")
-                cond = self.expression()
-                self._expect("OP", ")")
-                then_body = self.block()
-                else_body: Tuple[ast.Stmt, ...] = ()
-                if self._at("KEYWORD", "else"):
-                    self._advance()
-                    else_body = self.block()
-                return ast.IfStmt(cond, then_body, else_body, token.line)
-            if token.text == "while":
-                self._advance()
-                self._expect("OP", "(")
-                cond = self.expression()
-                self._expect("OP", ")")
-                return ast.WhileStmt(cond, self.block(), token.line)
-            if token.text == "do":
-                self._advance()
-                body = self.block()
-                self._expect("KEYWORD", "while")
-                self._expect("OP", "(")
-                cond = self.expression()
-                self._expect("OP", ")")
-                self._expect("OP", ";")
-                return ast.DoWhileStmt(cond, body, token.line)
-            if token.text == "repeat":
-                self._advance()
-                self._expect("OP", "(")
-                count = self.expression()
-                self._expect("OP", ")")
-                return ast.RepeatStmt(count, self.block(), token.line)
-            raise ParseError(
-                f"unexpected keyword {token.text!r}", token.line, token.column
-            )
-        if token.kind == "IDENT":
-            name = self._advance().text
-            self._expect("OP", "=")
+        pos = self._pos
+        kind = self._kinds[pos]
+        text = self._texts[pos]
+        if kind == "IDENT":
+            line = self._line_at(pos)
+            self._pos = pos + 1
+            self._expect("=")
             expr = self.expression()
-            self._expect("OP", ";")
-            return ast.AssignStmt(name, expr, token.line)
-        raise ParseError(
-            f"unexpected {token.text or 'end of input'!r}", token.line, token.column
-        )
+            self._expect(";")
+            return ast.AssignStmt(text, expr, line)
+        if kind != "KEYWORD":
+            raise self._error(f"unexpected {self._found(pos)}", pos)
+        line = self._line_at(pos)
+        self._pos = pos + 1
+        if text == "if":
+            self._expect("(")
+            cond = self.expression()
+            self._expect(")")
+            then_body = self.block()
+            else_body: Tuple[ast.Stmt, ...] = ()
+            if self._texts[self._pos] == "else":
+                self._pos += 1
+                else_body = self.block()
+            return ast.IfStmt(cond, then_body, else_body, line)
+        if text == "while":
+            self._expect("(")
+            cond = self.expression()
+            self._expect(")")
+            return ast.WhileStmt(cond, self.block(), line)
+        if text == "repeat":
+            self._expect("(")
+            count = self.expression()
+            self._expect(")")
+            return ast.RepeatStmt(count, self.block(), line)
+        if text == "do":
+            body = self.block()
+            self._expect("while")
+            self._expect("(")
+            cond = self.expression()
+            self._expect(")")
+            self._expect(";")
+            return ast.DoWhileStmt(cond, body, line)
+        if text == "skip":
+            self._expect(";")
+            return ast.SkipStmt(line)
+        if text == "break":
+            self._expect(";")
+            return ast.BreakStmt(line)
+        if text == "continue":
+            self._expect(";")
+            return ast.ContinueStmt(line)
+        raise self._error(f"unexpected keyword {text!r}", pos)
 
     def atom(self) -> Atom:
-        token = self._cur
-        if token.kind == "NUMBER":
-            self._advance()
-            return Const(int(token.text))
-        if token.kind == "OP" and token.text == "-" and (
-            self._tokens[self._pos + 1].kind == "NUMBER"
-        ):
-            self._advance()
-            number = self._advance()
-            return Const(-int(number.text))
-        if token.kind == "IDENT":
-            if token.text in _FUNCTIONS:
-                raise ParseError(
-                    f"{token.text!r} is a function, not a variable",
-                    token.line,
-                    token.column,
+        pos = self._pos
+        kind = self._kinds[pos]
+        text = self._texts[pos]
+        if kind == "NUMBER":
+            self._pos = pos + 1
+            return Const(int(text))
+        if text == "-" and self._kinds[pos + 1] == "NUMBER":
+            self._pos = pos + 2
+            return Const(-int(self._texts[pos + 1]))
+        if kind == "IDENT":
+            if text in _FUNCTIONS:
+                raise self._error(
+                    f"{text!r} is a function, not a variable", pos
                 )
-            self._advance()
-            return Var(token.text)
-        raise ParseError(
-            f"expected an operand, found {token.text or 'end of input'!r}",
-            token.line,
-            token.column,
+            self._pos = pos + 1
+            return Var(text)
+        raise self._error(
+            f"expected an operand, found {self._found(pos)}", pos
         )
 
     def expression(self) -> Expr:
-        token = self._cur
-        # Function call forms.
-        if token.kind == "IDENT" and token.text in _FUNCTIONS:
-            name = self._advance().text
-            self._expect("OP", "(")
+        pos = self._pos
+        text = self._texts[pos]
+        # Function call forms (only identifiers spell these names).
+        if text in _FUNCTIONS:
+            self._pos = pos + 1
+            self._expect("(")
             first = self.atom()
-            if name == "abs":
-                self._expect("OP", ")")
+            if text == "abs":
+                self._expect(")")
                 return UnaryExpr("abs", first)
-            self._expect("OP", ",")
+            self._expect(",")
             second = self.atom()
-            self._expect("OP", ")")
-            return BinExpr(name, first, second)
+            self._expect(")")
+            return BinExpr(text, first, second)
         # Unary operators (negative literals handled inside atom()).
-        if token.kind == "OP" and token.text in _UNARY:
-            if not (
-                token.text == "-" and self._tokens[self._pos + 1].kind == "NUMBER"
-            ):
-                op = self._advance().text
-                return UnaryExpr(op, self.atom())
+        if text in _UNARY and not (
+            text == "-" and self._kinds[pos + 1] == "NUMBER"
+        ):
+            self._pos = pos + 1
+            return UnaryExpr(text, self.atom())
         left = self.atom()
-        if self._at("OP") and self._cur.text in _BINARY:
-            op = self._advance().text
-            right = self.atom()
-            return BinExpr(op, left, right)
+        op = self._texts[self._pos]
+        if op in _BINARY:
+            self._pos += 1
+            return BinExpr(op, left, self.atom())
         return left
 
 
 def parse_program(source: str) -> ast.Program:
-    """Parse *source* into an AST; raises :class:`ParseError` on errors."""
-    return _Parser(tokenize(source)).program()
+    """Parse *source* into an AST; raises :class:`LexError` on bad
+    characters and :class:`ParseError` on grammar errors."""
+    return _Parser(source).program()
