@@ -40,9 +40,9 @@ GENERATED = 51  # with the 9 corpus programs: a 60-program batch
 JOB_COUNTS = (1, 2, 4)
 REPORT_FILENAME = "BENCH_BATCH.json"
 
-# The incremental liveness engine solves the global fixpoint at most
-# once per optimize and patches it between edits; before it, this
-# corpus re-solved ~14x per item (826 solves / 60 items).
+# Liveness is never re-solved per edit (DCE is one faint-variable
+# solve); re-solving after every edit cost this corpus ~14 solves per
+# item (826 solves / 60 items).
 MAX_LIVENESS_SOLVES_PER_ITEM = 2.0
 
 # Incremental fingerprints: one full hash for the input, every later
@@ -104,7 +104,7 @@ def sweep():
         assert per_item <= MAX_LIVENESS_SOLVES_PER_ITEM, (
             f"jobs={jobs}: {solves} liveness solves over "
             f"{len(report.items)} items ({per_item:.1f}/item) — the "
-            "incremental engine should patch, not re-solve"
+            "pipeline must not re-solve liveness per edit"
         )
         reports[jobs] = report
 
@@ -140,12 +140,9 @@ def test_batch_throughput(benchmark):
 
     final = reports[max(JOB_COUNTS)]
     payload = final.to_dict()
-    counters = final.merged_counters()
     payload["liveness"] = {
         "full_solves": liveness_solves(final),
         "solves_per_item": liveness_solves(final) / len(final.items),
-        "incr_updates": counters.get("dataflow.incr.update", 0),
-        "demand_solves": counters.get("dataflow.query.demand", 0),
     }
     _merge_batch_report(payload)
 

@@ -91,7 +91,6 @@ def check_bench_batch(args: List[str]) -> None:
     assert per_item <= 2.0, live
     assert live["full_solves"] <= 2 * data["items_total"], live
     print(f"bench batch ok: {live['full_solves']} full solves,",
-          f"{live['incr_updates']} incremental updates,",
           f"{per_item:.2f} solves/item")
 
 
@@ -123,14 +122,15 @@ def check_batch_report(args: List[str]) -> None:
     assert data["items_total"] >= 5
     assert all(i["status"] == "ok" and i["fingerprint"]
                for i in data["items"])
-    # The incremental liveness engine solves at most once per optimize
-    # and patches between edits; before it, this corpus recorded ~14
-    # full solves per item.
+    # Whole-program liveness is never re-solved per edit: DCE is one
+    # faint-variable solve, and a single LCM pass solves no liveness at
+    # all.  Re-solving after every edit recorded ~14 full solves per
+    # item on this corpus.
     solves = data["summary"].get("dataflow.solve[liveness]", {})
     per_item = solves.get("count", 0) / data["items_total"]
     assert per_item <= 2.0, (
         f"{solves.get('count')} liveness solves over "
-        f"{data['items_total']} items — incremental engine regressed")
+        f"{data['items_total']} items — liveness re-solved per edit")
     print(f"batch ok: {data['items_total']} items,",
           f"{data['wall_time_s']:.2f}s wall, jobs={data['jobs']},",
           f"{per_item:.1f} liveness solves/item")
@@ -357,20 +357,27 @@ def check_kill_resilience(args: List[str]) -> None:
     print("kill-resilience ok:", report.tally, report.supervisor)
 
 
-#: Per-item fingerprint budget in ``incr-liveness``: one whole-graph
+#: Per-item fingerprint budget in ``solve-counts``: one whole-graph
 #: hash of the input, then two incremental refreshes (the local-CSE
 #: copy and the transformed output).
 INCR_FINGERPRINTS = {"fingerprint.full": 1, "fingerprint.incr": 2}
 
-#: Per-item ceiling on full liveness solves in ``incr-liveness``'s
-#: pipeline-mode pass: 2 measured on every item but one (which needs 1).
-PIPELINE_FULLSOLVE_BOUND = 2
+#: ``solve-counts``' pipeline-mode pins over the 210-program corpus:
+#: how many items run each number of faint-variable (DCE) solves, and
+#: how many ``pipeline.round`` spans run each number.  Every item takes
+#: two rounds; DCE runs once per round except in one round where no
+#: other pass edited anything since its last run.
+PIPELINE_FAINT_PER_ITEM = {1: 1, 2: 209}
+PIPELINE_FAINT_PER_ROUND = {0: 1, 1: 419}
 
 
-def check_incr_liveness(args: List[str]) -> None:
+def check_solve_counts(args: List[str]) -> None:
     """Cold LCM: no liveness solve and 1 isolation solve per ~200-block
     item, 1 full + 2 incremental fingerprints; pipeline mode on the
-    pinned ~25-block corpus: at most 2 full liveness solves per item."""
+    pinned ~25-block corpus: the pinned faint-solve counts per item and
+    per round, and no liveness solve."""
+    from collections import Counter
+
     from repro.api import optimize_cfg
     from repro.corpus import generate_source, profile_config
     from repro.lang.lower import compile_program
@@ -391,8 +398,6 @@ def check_incr_liveness(args: List[str]) -> None:
     config = profile_config("mixed", 220)
     for seed in range(3):
         tracer = traced(compile_program(generate_source(seed, config)), False)
-        fullsolves = tracer.counters.get("dataflow.incr.fullsolve", 0)
-        assert fullsolves == 0, (seed, fullsolves)
         problems = [
             event.attrs.get("problem")
             for event in tracer.events
@@ -405,23 +410,40 @@ def check_incr_liveness(args: List[str]) -> None:
         assert hashes == INCR_FINGERPRINTS, (seed, hashes)
     # The pinned pipeline corpus: seeds 0-69 x three profiles, 12
     # statements at depth 3 (about 25 blocks each).
-    worst = 0
-    items = 0
+    per_item: Counter = Counter()
+    per_round: Counter = Counter()
     for profile in ("mixed", "loopy", "branchy"):
         config = profile_config(profile, 12, 3)
         for seed in range(70):
             cfg = compile_program(generate_source(seed, config))
             tracer = traced(cfg, True)
-            fullsolves = tracer.counters.get("dataflow.incr.fullsolve", 0)
-            assert fullsolves <= PIPELINE_FULLSOLVE_BOUND, (
-                profile, seed, fullsolves)
-            worst = max(worst, fullsolves)
-            items += 1
+            parents = {event.id: event.parent for event in tracer.events}
+            rounds = {
+                event.id: 0 for event in tracer.events
+                if event.name == "pipeline.round"
+            }
+            faint = 0
+            for event in tracer.events:
+                if event.name != "dataflow.solve":
+                    continue
+                problem = event.attrs.get("problem")
+                assert problem != "liveness", (profile, seed)
+                if problem != "faint":
+                    continue
+                faint += 1
+                ancestor = event.parent
+                while ancestor is not None and ancestor not in rounds:
+                    ancestor = parents[ancestor]
+                assert ancestor is not None, (profile, seed, "outside a round")
+                rounds[ancestor] += 1
+            per_item[faint] += 1
+            per_round.update(rounds.values())
+    assert dict(per_item) == PIPELINE_FAINT_PER_ITEM, dict(per_item)
+    assert dict(per_round) == PIPELINE_FAINT_PER_ROUND, dict(per_round)
     print(
-        "incr-liveness ok: single pass 0 liveness solves, 1 isolation",
-        f"solve and {INCR_FINGERPRINTS} per item; pipeline at most",
-        f"{worst} full solves per item over {items} items",
-        f"(bound {PIPELINE_FULLSOLVE_BOUND})",
+        "solve-counts ok: single pass 0 liveness solves, 1 isolation",
+        f"solve and {INCR_FINGERPRINTS} per item; pipeline faint solves",
+        f"per item {dict(per_item)}, per round {dict(per_round)}",
     )
 
 
@@ -542,7 +564,7 @@ CHECKS: Dict[str, Callable[[List[str]], None]] = {
     "differential": check_differential,
     "differential-injection": check_differential_injection,
     "kill-resilience": check_kill_resilience,
-    "incr-liveness": check_incr_liveness,
+    "solve-counts": check_solve_counts,
     "serve": check_serve,
     "front-end": check_front_end,
 }

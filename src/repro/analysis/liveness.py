@@ -134,9 +134,6 @@ def liveness_of(cfg: CFG, live_at_exit=(), manager=None) -> LivenessResult:
     fingerprint + :func:`liveness_key` (memory → disk → solve) and
     shares the manager's dense plan with every other analysis of the
     same graph; without one, it is a plain :func:`compute_liveness`.
-    Callers that query repeatedly between *edits* should use
-    ``manager.liveness(cfg, live_at_exit)`` — the incremental engine —
-    instead of re-fetching full results.
     """
     exit_names = tuple(sorted(set(live_at_exit)))
     if manager is None:

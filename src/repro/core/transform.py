@@ -367,12 +367,8 @@ def apply_placements(
     return result
 
 
-def eliminate_dead_code(
-    cfg: CFG,
-    candidates: Iterable[str],
-    manager: Optional[AnalysisManager] = None,
-) -> int:
-    """Iteratively remove dead assignments to the *candidates* variables.
+def eliminate_dead_code(cfg: CFG, candidates: Iterable[str]) -> int:
+    """Remove dead assignments to the *candidates* variables.
 
     Returns the number of instructions removed.  Nothing is live at the
     exit; otherwise this is
@@ -382,6 +378,4 @@ def eliminate_dead_code(
     # Deferred: repro.passes imports repro.core.
     from repro.passes.dce import dead_code_elimination
 
-    return dead_code_elimination(
-        cfg, observable=(), manager=manager, candidates=candidates
-    )
+    return dead_code_elimination(cfg, observable=(), candidates=candidates)

@@ -17,9 +17,6 @@ the machinery to measure that claim:
 * :mod:`repro.dataflow.fused` — the fused LCM plan: the whole
   earliest/later/insert/replace quartet (edge-based and node-level) as
   one back-to-back int-array cascade over a single compiled plan;
-* :mod:`repro.dataflow.incremental` — per-CFG incremental +
-  demand-driven liveness (solve once, patch after local edits, answer
-  point queries from backward slices);
 * :mod:`repro.dataflow.bidirectional` — a fixpoint solver for coupled
   equation systems (used by the Morel–Renvoise baseline);
 * :mod:`repro.dataflow.stats` — counters shared by all of the above.
@@ -33,7 +30,6 @@ from repro.dataflow.fused import (
     run_fused_krs,
     run_fused_lcm,
 )
-from repro.dataflow.incremental import IncrementalLiveness, IncrementalStats
 from repro.dataflow.order import postorder, reverse_postorder, backward_order
 from repro.dataflow.problem import (
     Confluence,
@@ -54,8 +50,6 @@ __all__ = [
     "Direction",
     "EquationSystem",
     "GenKillTransfer",
-    "IncrementalLiveness",
-    "IncrementalStats",
     "LCMPlan",
     "OpCounter",
     "Solution",

@@ -34,11 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
+from repro.analysis.liveness import compute_liveness
 from repro.core.transform import TransformResult
-from repro.dataflow.incremental import IncrementalLiveness
 from repro.ir.cfg import CFG
 from repro.ir.instr import Assign
-from repro.obs.manager import notify_cfg_edited, notify_cfg_mutated
 
 
 @dataclass
@@ -75,9 +74,8 @@ def _sinkable(cfg: CFG, label: str) -> Optional[Assign]:
     return instr
 
 
-def _one_round(
-    cfg: CFG, engine: IncrementalLiveness, report: SinkReport, standalone: bool
-) -> bool:
+def _one_round(cfg: CFG, observable, report: SinkReport) -> bool:
+    liveness = compute_liveness(cfg, live_at_exit=observable)
     for label in list(cfg.labels):
         if label in (cfg.entry, cfg.exit):
             continue
@@ -89,11 +87,8 @@ def _one_round(
             continue  # sinking pays only where paths diverge
         if len(set(succs)) != len(succs):
             continue  # parallel edges: nothing to separate
-        # Demand-driven point queries: only the branch arms' backward
-        # slices are ever solved — a sinking run over a large graph with
-        # few branches never computes the global fixpoint.
         live_targets = [
-            s for s in succs if engine.is_live_in(s, instr.target)
+            s for s in succs if liveness.is_live_in(s, instr.target)
         ]
         if len(live_targets) == len(succs):
             continue  # live everywhere: no deadness to exploit
@@ -101,33 +96,16 @@ def _one_round(
         block.instrs.pop()
         if not live_targets:
             report.removed.append((label, str(instr)))
-            notify_cfg_edited(cfg, [label])
-            if standalone:
-                engine.blocks_edited([label])
             return True
         landing_labels = []
-        edited = [label]
-        split = False
         for succ in live_targets:
             if len(cfg.preds(succ)) == 1:
                 cfg.block(succ).instrs.insert(0, instr)
                 landing_labels.append(succ)
-                edited.append(succ)
             else:
                 landing = cfg.split_edge(label, succ, f"sink_{label}_{succ}")
                 landing.instrs.insert(0, instr)
                 landing_labels.append(landing.label)
-                split = True
-        if split:
-            # Edge splitting adds blocks and rewires edges — outside
-            # the edit-delta model, so the engine rebuilds.
-            notify_cfg_mutated(cfg)
-            if standalone:
-                engine.structure_changed()
-        else:
-            notify_cfg_edited(cfg, edited)
-            if standalone:
-                engine.blocks_edited(edited)
         report.sunk.append((label, str(instr), tuple(landing_labels)))
         return True
     return False
@@ -137,7 +115,6 @@ def sink_assignments(
     cfg: CFG,
     observable: Optional[Set[str]] = None,
     max_rounds: int = 200,
-    manager=None,
 ) -> Tuple[TransformResult, SinkReport]:
     """Partially-dead-code-eliminate *cfg* (input never mutated).
 
@@ -147,25 +124,16 @@ def sink_assignments(
             of the program's variables — the interpreter's semantics).
         max_rounds: fixed-point bound; each round performs one sinking
             step, so this caps the total number of moves.
-        manager: optional :class:`~repro.obs.manager.AnalysisManager`
-            supplying the incremental liveness engine (dense-plan and
-            memo sharing); without one a private engine is used.
 
-    Liveness is never solved globally up front: each round's branch
-    queries are answered demand-driven from the engine, which patches
-    its facts incrementally after every sinking step (or rebuilds after
-    an edge split).
+    Each round re-solves liveness on the private copy it edits, so no
+    mutation hook is needed.
     """
     work = cfg.copy()
     obs = set(observable) if observable is not None else work.variables()
     report = SinkReport()
     exit_names = sorted(obs)
-    if manager is None:
-        engine = IncrementalLiveness(work, live_at_exit=exit_names)
-    else:
-        engine = manager.liveness(work, live_at_exit=exit_names)
     for _ in range(max_rounds):
-        if not _one_round(work, engine, report, standalone=manager is None):
+        if not _one_round(work, exit_names, report):
             break
     result = TransformResult(
         original=cfg, cfg=work, placements=[], temps=set()

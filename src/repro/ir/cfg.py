@@ -226,7 +226,7 @@ class CFG:
         return new_block
 
     # ------------------------------------------------------------------
-    # Region closures (dirty-set bookkeeping for scoped passes)
+    # Region closure (dirty-set bookkeeping for scoped passes)
     # ------------------------------------------------------------------
 
     def reachable_from(self, labels) -> Set[str]:
@@ -248,25 +248,6 @@ class CFG:
             for succ in self._blocks[label].successors():
                 if succ not in seen and succ in self._blocks:
                     stack.append(succ)
-        return seen
-
-    def reaching(self, labels) -> Set[str]:
-        """Blocks that can reach *labels* along predecessor edges.
-
-        Inclusive of the seeds; the backward counterpart of
-        :meth:`reachable_from`, bounding where a backward analysis
-        (liveness) can change after the seed blocks were edited.
-        """
-        seen: Set[str] = set()
-        stack = [label for label in labels if label in self._blocks]
-        while stack:
-            label = stack.pop()
-            if label in seen:
-                continue
-            seen.add(label)
-            for pred in self.preds(label):
-                if pred not in seen:
-                    stack.append(pred)
         return seen
 
     # ------------------------------------------------------------------

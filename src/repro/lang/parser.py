@@ -23,6 +23,13 @@ kind, so most tests compare the text alone.  A statement's ``line`` is
 found by counting newlines forward from the previous statement's
 start, and an error's line and column are computed from the offending
 token's offset only when it is raised.
+
+Two documented limits keep hostile input a positioned
+:class:`~repro.lang.errors.ParseError`: a number literal has at most
+:data:`MAX_LITERAL_DIGITS` digits (Python's own int-string limit on
+3.11+, enforced here on every version), and blocks nest at most
+:data:`MAX_NESTING` deep (deeper source would overflow the recursive
+descent).
 """
 
 from __future__ import annotations
@@ -46,12 +53,19 @@ _BINARY = frozenset(op for op in BINARY_OPS if not op.isalpha())
 _UNARY = frozenset({"-", "!", "~"})
 _FUNCTIONS = frozenset({"min", "max", "abs"})
 
+#: The most digits a number literal may have.
+MAX_LITERAL_DIGITS = 4300
+
+#: The deepest blocks (``{ ... }``) may nest.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, source: str) -> None:
         self._source = source
         self._kinds, self._texts, self._starts = scan(source)
         self._pos = 0
+        self._depth = 0
         # Line of the source offset ``_line_offset``.
         self._line = 1
         self._line_offset = 0
@@ -90,7 +104,12 @@ class _Parser:
         return ast.Program(tuple(body))
 
     def block(self) -> Tuple[ast.Stmt, ...]:
+        if self._depth == MAX_NESTING:
+            raise self._error(
+                f"blocks nest deeper than {MAX_NESTING} levels", self._pos
+            )
         self._expect("{")
+        self._depth += 1
         body = []
         kinds, texts = self._kinds, self._texts
         while texts[self._pos] != "}":
@@ -98,6 +117,7 @@ class _Parser:
                 raise self._error("unterminated block", self._pos)
             body.append(self.statement())
         self._pos += 1
+        self._depth -= 1
         return tuple(body)
 
     def statement(self) -> ast.Stmt:
@@ -154,16 +174,26 @@ class _Parser:
             return ast.ContinueStmt(line)
         raise self._error(f"unexpected keyword {text!r}", pos)
 
+    def _number(self, index: int) -> int:
+        text = self._texts[index]
+        if len(text) > MAX_LITERAL_DIGITS:
+            raise self._error(
+                f"number literal has {len(text)} digits; the limit is "
+                f"{MAX_LITERAL_DIGITS}",
+                index,
+            )
+        return int(text)
+
     def atom(self) -> Atom:
         pos = self._pos
         kind = self._kinds[pos]
         text = self._texts[pos]
         if kind == "NUMBER":
             self._pos = pos + 1
-            return Const(int(text))
+            return Const(self._number(pos))
         if text == "-" and self._kinds[pos + 1] == "NUMBER":
             self._pos = pos + 2
-            return Const(-int(self._texts[pos + 1]))
+            return Const(-self._number(pos + 1))
         if kind == "IDENT":
             if text in _FUNCTIONS:
                 raise self._error(

@@ -67,8 +67,7 @@ def notify_cfg_mutated(cfg: CFG, labels=None) -> None:
 
     The hook mutating code must call after changing a graph's
     *structure* in place (blocks added/removed, edges retargeted).
-    Cheap when no managers exist or none has seen the graph.  Any
-    incremental liveness engines held for *cfg* drop all their facts.
+    Cheap when no managers exist or none has seen the graph.
 
     With *labels* (the surviving blocks whose content changed), the
     cached fingerprint state is patched instead of dropped: those
@@ -76,8 +75,7 @@ def notify_cfg_mutated(cfg: CFG, labels=None) -> None:
     added/removed blocks on its own.  Without *labels* the fingerprint
     is dropped and recomputed from scratch.  Code making
     instruction-level edits to existing blocks should call
-    :func:`notify_cfg_edited` instead so liveness engines can patch
-    rather than rebuild.
+    :func:`notify_cfg_edited` instead.
     """
     for manager in list(_LIVE_MANAGERS):
         manager.invalidate(cfg, labels)
@@ -93,10 +91,7 @@ def notify_cfg_edited(cfg: CFG, labels) -> None:
     (Anything that adds/removes blocks or changes edges needs the
     coarse hook.)  Every live manager marks just those blocks dirty in
     its cached fingerprint state (an O(region) re-hash at the next
-    lookup), and its incremental liveness engines
-    (:class:`repro.dataflow.incremental.IncrementalLiveness`) keep
-    their fixpoints and patch them column by column instead of
-    re-solving globally.
+    lookup).
     """
     for manager in list(_LIVE_MANAGERS):
         manager.notify_edited(cfg, labels)
@@ -183,7 +178,6 @@ class AnalysisManager:
         self._store: Dict[Tuple[str, str], Any] = {}
         self._plans: Dict[str, Any] = {}
         self._fingerprints: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._engines: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         _LIVE_MANAGERS.add(self)
 
     # -- keys -----------------------------------------------------------
@@ -348,33 +342,6 @@ class AnalysisManager:
 
         return self.cached(cfg, key, compute)
 
-    # -- incremental engines --------------------------------------------
-
-    def liveness(self, cfg: CFG, live_at_exit=()):
-        """The incremental liveness engine for (*cfg*, *live_at_exit*).
-
-        One :class:`repro.dataflow.incremental.IncrementalLiveness` per
-        (CFG object, observable set) — held weakly, so engines die with
-        their graph.  The engine's global solves route back through
-        :meth:`cached` (same fingerprint + key tiers as a direct
-        :func:`~repro.analysis.liveness.liveness_of`), and it is kept
-        current by the notification hooks: :meth:`notify_edited` marks
-        blocks dirty for an edit-sized column-wise patch,
-        :meth:`invalidate` (the coarse path) drops its facts entirely.
-        """
-        from repro.dataflow.incremental import IncrementalLiveness
-
-        exit_names = tuple(sorted(set(live_at_exit)))
-        engines = self._engines.get(cfg)
-        if engines is None:
-            engines = {}
-            self._engines[cfg] = engines
-        engine = engines.get(exit_names)
-        if engine is None:
-            engine = IncrementalLiveness(cfg, live_at_exit=exit_names, manager=self)
-            engines[exit_names] = engine
-        return engine
-
     # -- invalidation ---------------------------------------------------
 
     def _drop_fingerprint(self, cfg: CFG) -> None:
@@ -400,40 +367,29 @@ class AnalysisManager:
     def invalidate(self, cfg: CFG, labels=None) -> None:
         """Note a structural mutation of *cfg* (the coarse path).
 
-        Any incremental engines held for *cfg* drop their facts, since
-        the graph's structure may have changed.  The fingerprint state
-        is patched when *labels* (the surviving blocks whose content
-        changed) are given — the incremental refresh reconciles
-        added/removed blocks itself — and dropped otherwise.
+        The fingerprint state is patched when *labels* (the surviving
+        blocks whose content changed) are given — the incremental
+        refresh reconciles added/removed blocks itself — and dropped
+        otherwise.
         """
         if labels is None:
             self._drop_fingerprint(cfg)
         else:
             self._mark_dirty(cfg, labels)
-        engines = self._engines.get(cfg)
-        if engines:
-            for engine in engines.values():
-                engine.structure_changed()
 
     def notify_edited(self, cfg: CFG, labels) -> None:
         """Record instruction-level edits to *cfg*'s *labels* blocks.
 
         The edited blocks are marked dirty in the fingerprint state
-        (re-hashed at the next lookup), and incremental engines keep
-        their fixpoints, marking just those blocks for patching.
+        (re-hashed at the next lookup).
         """
         self._mark_dirty(cfg, labels)
-        engines = self._engines.get(cfg)
-        if engines:
-            for engine in engines.values():
-                engine.blocks_edited(labels)
 
     def clear(self) -> None:
-        """Drop every memoized result, plan, fingerprint and engine."""
+        """Drop every memoized result, plan and fingerprint."""
         self._store.clear()
         self._plans.clear()
         self._fingerprints = weakref.WeakKeyDictionary()
-        self._engines = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self._store)

@@ -1,6 +1,6 @@
-"""Whole-program dead code elimination.
+"""Whole-program dead code elimination by faint-variable analysis.
 
-Removes assignments whose target is overwritten before ever being read.
+Removes assignments whose value can never reach an observable result.
 Under this library's execution model the final environment is
 observable, so — unlike classic compiler DCE — variables are considered
 live at the program exit by default; only *shadowed* stores are dead.
@@ -10,93 +10,142 @@ temporaries, which are never observable) can narrow the observable set.
 Right-hand sides in this IR are pure, so removal is always sound for a
 dead target.
 
-Liveness is solved **once** per call (through the
-:class:`~repro.obs.manager.AnalysisManager` memo tier when a manager is
-given) and then patched incrementally between fixpoint rounds by
-:class:`~repro.dataflow.incremental.IncrementalLiveness` — the
-re-solve-the-world-per-round loop this pass shipped with is gone.
+The pass is one backward **strong-liveness** (faint-variable) solve
+and one removal sweep.  A use counts only when the assignment making
+it is itself live, so an assignment whose target is not live after it
+is *faint*: it neither kills nor uses anything.  The least fixpoint
+removes every store that iterating classic liveness DCE removes, plus
+dead cycles iteration keeps (``x = x + 1`` in a loop when ``x`` is
+overwritten before the exit).  Equations, per block, bottom-up from
+``live = OUT(n) ∪ uses(terminator)``::
+
+    x = e, x live or not a candidate:  live = (live − {x}) ∪ vars(e)
+    x = e, otherwise (faint):          live unchanged
+    OUT(n) = ∪_s IN(s)                 (the observable set at the exit)
+
+The transfer is distributive but not gen/kill, so it runs as plain int
+sweeps over the dense plan's backward order.  Faint elimination is
+idempotent: a second call on its output removes nothing.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.dataflow.incremental import IncrementalLiveness
+from repro.dataflow.dense import compile_plan
 from repro.ir.cfg import CFG
-from repro.obs.manager import AnalysisManager, notify_cfg_edited
+from repro.obs.manager import notify_cfg_edited
+from repro.obs.trace import span
+
+
+def _faint_live_in(code, live: int) -> int:
+    """Walk one block bottom-up; *code* is its reversed instruction list."""
+    for bit, uses, candidate in code:
+        if live & bit or not candidate:
+            live = (live & ~bit) | uses
+    return live
 
 
 def dead_code_elimination(
     cfg: CFG,
     observable: Optional[Iterable[str]] = None,
-    manager: Optional[AnalysisManager] = None,
-    blocks: Optional[Iterable[str]] = None,
     edited: Optional[List[str]] = None,
     candidates: Optional[Iterable[str]] = None,
 ) -> int:
-    """Remove dead assignments from *cfg* in place; returns the count.
+    """Remove faint assignments from *cfg* in place; returns the count.
 
     Args:
         cfg: the program (mutated).
         observable: variables whose final value matters (live at exit).
             Defaults to every variable of the program — the
             conservative choice matching the interpreter's semantics.
-            Names the program never mentions are honoured, not dropped:
-            an assignment to an observable-but-otherwise-unused name is
-            kept.
-        manager: optional :class:`~repro.obs.manager.AnalysisManager`;
-            the single full liveness solve routes through its memo
-            tiers and shares its dense plan.
-        blocks: restrict the removal sweep to these labels.  Liveness
-            is a backward analysis, so scoping is exact whenever
-            *blocks* covers the edited blocks and everything that can
-            reach them; between rounds the scope grows by the backward
-            closure of this call's own removals, since a removal can
-            only expose new dead stores at or upstream of itself.
+            Names the program never mentions change nothing.
         edited: when given, labels of blocks actually changed are
-            appended (possibly repeatedly across rounds).
+            appended.
         candidates: when given, only assignments to these variables
-            are removed; every other assignment is kept, dead or not.
+            are removed; every other assignment is kept, and its uses
+            count, dead or not.
     """
-    live_at_exit = (
-        sorted(cfg.variables()) if observable is None else sorted(set(observable))
-    )
-    if manager is None:
-        engine = IncrementalLiveness(cfg, live_at_exit=live_at_exit)
+    index = {name: i for i, name in enumerate(sorted(cfg.variables()))}
+
+    def mask(names) -> int:
+        bits = 0
+        for name in names:
+            bits |= 1 << index[name]
+        return bits
+
+    if observable is None:
+        boundary = (1 << len(index)) - 1
     else:
-        engine = manager.liveness(cfg, live_at_exit=live_at_exit)
-    engine.solve()
-    scope = None if blocks is None else set(blocks)
+        boundary = mask(v for v in observable if v in index)
     targets = None if candidates is None else set(candidates)
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        round_edited: List[str] = []
-        for block in cfg:
-            if scope is not None and block.label not in scope:
-                continue
-            keep: List = []
-            for i, instr in enumerate(block.instrs):
-                if (
-                    targets is None or instr.target in targets
-                ) and not engine.is_live_after(block.label, i, instr.target):
-                    removed += 1
-                    changed = True
+
+    plan = compile_plan(cfg)
+    labels, succs = plan.labels, plan.succs
+    n = len(labels)
+    codes = []
+    exposed = []
+    for label in labels:
+        block = cfg.block(label)
+        codes.append([
+            (
+                1 << index[instr.target],
+                mask(instr.uses()),
+                targets is None or instr.target in targets,
+            )
+            for instr in reversed(block.instrs)
+        ])
+        term = block.terminator
+        exposed.append(0 if term is None else mask(term.uses()))
+
+    with span(
+        "dataflow.solve", problem="faint", strategy="dense"
+    ) as solve_span:
+        live_in = [0] * n
+        live_out = [0] * n
+        sweeps = 0
+        node_visits = 0
+        changed = True
+        while changed:
+            changed = False
+            sweeps += 1
+            for i in plan.backward_order:
+                node_visits += 1
+                if i == plan.exit:
+                    out = boundary
                 else:
-                    keep.append(instr)
-            if len(keep) != len(block.instrs):
-                block.instrs[:] = keep
-                round_edited.append(block.label)
-        if round_edited:
-            # Every block in a round decides against the same fixpoint
-            # (the old per-round re-solve semantics); the incremental
-            # patch lands at the round boundary.
-            notify_cfg_edited(cfg, round_edited)
-            if manager is None:
-                engine.blocks_edited(round_edited)
-            if scope is not None:
-                scope |= cfg.reaching(round_edited)
-            if edited is not None:
-                edited.extend(round_edited)
+                    out = 0
+                    for s in succs[i]:
+                        out |= live_in[s]
+                inn = _faint_live_in(codes[i], out | exposed[i])
+                if inn != live_in[i] or out != live_out[i]:
+                    live_in[i] = inn
+                    live_out[i] = out
+                    changed = True
+        solve_span.set(
+            sweeps=sweeps, node_visits=node_visits, bitvec_ops=0, blocks=n,
+            width=len(index), backend="dense",
+        )
+
+    removed = 0
+    changed_labels: List[str] = []
+    for i, label in enumerate(labels):
+        block = cfg.block(label)
+        live = live_out[i] | exposed[i]
+        keep = []
+        for instr, (bit, uses, candidate) in zip(
+            reversed(block.instrs), codes[i]
+        ):
+            if live & bit or not candidate:
+                live = (live & ~bit) | uses
+                keep.append(instr)
+        if len(keep) != len(block.instrs):
+            removed += len(block.instrs) - len(keep)
+            keep.reverse()
+            block.instrs[:] = keep
+            changed_labels.append(label)
+    if changed_labels:
+        notify_cfg_edited(cfg, changed_labels)
+        if edited is not None:
+            edited.extend(changed_labels)
     return removed

@@ -10,15 +10,17 @@ dead stores, DCE exposes pass-through blocks, ...).
 The cleanup fixpoint is driven by **dirty-region scheduling** (the
 default; ``scheduling="full"`` keeps the classic whole-CFG sweeps as a
 reference and benchmark baseline).  Each pass keeps a dirty set of
-block labels; a pass only runs when its set is non-empty, consumes the
-set as its rewrite scope, and every edit re-dirties the blocks whose
-facts that edit can change: the *forward* closure (edit + descendants)
-for the forward passes (copy propagation, constant folding), the
-*backward* closure (edit + ancestors) for DCE.  The dataflow fixpoints
-themselves are still solved globally each call, so a scoped run makes
-exactly the rewrites a whole-CFG run would — the scope only skips
-blocks whose facts and content are provably unchanged — and the final
-IR is bit-identical (a hypothesis differential test pins this).
+block labels for each forward pass (copy propagation, constant
+folding); a pass only runs when its set is non-empty, consumes the set
+as its rewrite scope, and every edit re-dirties the *forward* closure
+(edit + descendants), the blocks whose facts that edit can change.
+The dataflow fixpoints themselves are still solved globally each call,
+so a scoped run makes exactly the rewrites a whole-CFG run would — the
+scope only skips blocks whose facts and content are provably unchanged
+— and the final IR is bit-identical (a hypothesis differential test
+pins this).  DCE is one whole-graph faint-variable solve, pending
+whenever another pass edited anything since its last run; it is
+idempotent, so its own edits never make it pending again.
 Structural simplification stays whole-CFG (it is driven by a
 reachability walk, not per-block facts) and runs only when something
 changed since its last run; its edits reset every dirty set.
@@ -108,22 +110,6 @@ def _run_pass_edited(
     return count
 
 
-def _spread_dirt(
-    cfg: CFG, dirty: Dict[str, Set[str]], edited: List[str]
-) -> None:
-    """Re-dirty every block whose pass-relevant facts an edit can change.
-
-    Copy propagation and constant folding are forward problems: an edit
-    changes facts at the edited block and its descendants.  Liveness
-    (DCE) is backward: an edit changes facts at the edited block and
-    its ancestors.
-    """
-    forward = cfg.reachable_from(edited)
-    dirty["copyprop"] |= forward
-    dirty["constfold"] |= forward
-    dirty["dce"] |= cfg.reaching(edited)
-
-
 def _cleanup_full(
     cfg: CFG,
     result: PassResult,
@@ -131,15 +117,11 @@ def _cleanup_full(
     manager: Optional[AnalysisManager],
 ) -> None:
     """Legacy fixpoint: every pass sweeps the whole CFG every round."""
-
-    def _dce(c: CFG) -> int:
-        return dead_code_elimination(c, manager=manager)
-
     for _ in range(max_rounds):
         round_total = 0
         round_total += _run_pass(result, "copyprop", copy_propagate, cfg)
         round_total += _run_pass(result, "constfold", fold_constants, cfg)
-        round_total += _run_pass(result, "dce", _dce, cfg)
+        round_total += _run_pass(result, "dce", dead_code_elimination, cfg)
         with span("pass.simplify") as sp:
             stats = simplify_cfg(cfg)
             sp.set(rewrites=stats.total)
@@ -160,21 +142,28 @@ def _cleanup_dirty(
     """Dirty-region fixpoint: each pass revisits only suspect blocks.
 
     Every dirty set starts full (the PRE phase touched an unknown
-    region), so round one matches the legacy sweep; from then on a pass
-    runs only over blocks re-dirtied by closures of actual edits.
-    Structural simplification runs whenever anything changed since its
-    last run; its edits reset every dirty set because block identity
-    itself moved.
+    region), so round one matches the legacy sweep; from then on a
+    forward pass runs only over the descendants of actual edits, and
+    DCE runs only when another pass edited something since its last
+    run.  Structural simplification runs whenever anything changed
+    since its last run; its edits reset every dirty set because block
+    identity itself moved.
     """
     labels = set(cfg.labels)
     dirty: Dict[str, Set[str]] = {
         "copyprop": set(labels),
         "constfold": set(labels),
-        "dce": set(labels),
     }
+    dce_pending = True
     simplify_pending = True
 
-    def scoped(name: str, fn, notify: bool) -> int:
+    def spread(edited: List[str]) -> None:
+        forward = cfg.reachable_from(edited)
+        dirty["copyprop"] |= forward
+        dirty["constfold"] |= forward
+
+    def scoped(name: str, fn) -> int:
+        nonlocal dce_pending
         scope = dirty[name]
         if not scope:
             return 0
@@ -184,10 +173,24 @@ def _cleanup_dirty(
             count = fn(scope, edited)
             sp.set(rewrites=count, scope=len(scope))
         if edited:
-            if notify:
-                notify_cfg_edited(cfg, edited)
-            _spread_dirt(cfg, dirty, edited)
+            notify_cfg_edited(cfg, edited)
+            spread(edited)
+            dce_pending = True
         result.bump(name, count)
+        return count
+
+    def dce() -> int:
+        nonlocal dce_pending
+        if not dce_pending:
+            return 0
+        dce_pending = False
+        edited: List[str] = []
+        with span("pass.dce") as sp:
+            count = dead_code_elimination(cfg, edited=edited)
+            sp.set(rewrites=count, scope=len(cfg.labels))
+        if edited:
+            spread(edited)
+        result.bump("dce", count)
         return count
 
     for round_no in range(max_rounds):
@@ -197,24 +200,15 @@ def _cleanup_dirty(
                 lambda scope, edited: copy_propagate(
                     cfg, blocks=scope, edited=edited, manager=manager
                 ),
-                notify=True,
             )
             trio_total += scoped(
                 "constfold",
                 lambda scope, edited: fold_constants(
                     cfg, blocks=scope, edited=edited
                 ),
-                notify=True,
             )
-            # DCE announces its own edits at each internal round
-            # boundary (its scoped liveness patches depend on it).
-            trio_total += scoped(
-                "dce",
-                lambda scope, edited: dead_code_elimination(
-                    cfg, manager=manager, blocks=scope, edited=edited
-                ),
-                notify=False,
-            )
+            # DCE announces its own edits.
+            trio_total += dce()
             round_total = trio_total
             if simplify_pending or trio_total:
                 with span("pass.simplify") as sp:
@@ -225,6 +219,7 @@ def _cleanup_dirty(
                     current = set(cfg.labels)
                     for name in dirty:
                         dirty[name] = set(current)
+                    dce_pending = True
                 result.bump("simplify", stats.total)
                 round_total += stats.total
                 simplify_pending = stats.total > 0

@@ -56,3 +56,20 @@ def full_redundancy() -> CFG:
 def names(vec_map: Dict[str, BitVector], index: int) -> Set[str]:
     """The labels whose vector has bit *index* set."""
     return {label for label, vec in vec_map.items() if index in vec}
+
+
+def _is_live_after(cfg, liveness, label, index, var):
+    """Is *var* live immediately after instruction *index* of *label*?
+
+    Scan the block tail, then fall back on a solved
+    :class:`~repro.analysis.liveness.LivenessResult`.
+    """
+    block = cfg.block(label)
+    for instr in block.instrs[index + 1 :]:
+        if var in instr.uses():
+            return True
+        if instr.target == var:
+            return False
+    if block.terminator is not None and var in block.terminator.uses():
+        return True
+    return liveness.is_live_out(label, var)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import AB, diamond, straight_line
-from tests.test_dataflow_incremental import _is_live_after
+from tests.helpers import AB, _is_live_after, diamond, straight_line
 
 from repro.core.placement import Placement, PlacementError
 from repro.core.transform import apply_placements, eliminate_dead_code
@@ -172,7 +171,6 @@ class TestIsolatedCopyCollapse:
         finally:
             deactivate()
         assert len(result.copies_collapsed) >= 50
-        assert tracer.counters.get("dataflow.incr.fullsolve", 0) == 0
         solves = [
             event for event in tracer.events
             if event.name == "dataflow.solve"

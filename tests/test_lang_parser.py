@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.api import SourceError, load_cfg
 from repro.ir.expr import BinExpr, Const, UnaryExpr, Var
 from repro.lang import ast
 from repro.lang.errors import ParseError
-from repro.lang.parser import parse_program
+from repro.lang.lower import compile_program
+from repro.lang.parser import MAX_LITERAL_DIGITS, MAX_NESTING, parse_program
 
 
 class TestStatements:
@@ -114,3 +116,57 @@ class TestExpressions:
         with pytest.raises(ParseError) as info:
             parse_program("x = 1;\nfoo")
         assert "line 2" in str(info.value)
+
+
+class TestLimits:
+    """Hostile input stays a positioned ParseError on every Python."""
+
+    @pytest.mark.parametrize(
+        "source, column",
+        [
+            ("x = " + "1" * 5000 + ";", 5),
+            ("x = -" + "1" * 5000 + ";", 6),
+            ("x = a + " + "7" * (MAX_LITERAL_DIGITS + 1) + ";", 9),
+            ("repeat (" + "9" * 5000 + ") { x = 1; }", 9),
+        ],
+    )
+    def test_overlong_literal_is_positioned(self, source, column):
+        with pytest.raises(ParseError, match="the limit is 4300") as info:
+            parse_program(source)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_literal_at_the_limit_loads(self):
+        digits = "9" * MAX_LITERAL_DIGITS
+        cfg = load_cfg(f"x = -{digits};")
+        assert f"x = -{digits}" in str(cfg)
+
+    def test_overlong_literal_through_load_cfg(self):
+        with pytest.raises(SourceError, match=r"ParseError: .*column 5"):
+            load_cfg("x = " + "1" * 5000 + ";")
+
+    def test_deep_nesting_is_positioned(self):
+        source = "if (a) {" * 3000 + "}" * 3000
+        with pytest.raises(ParseError, match="deeper than 100") as info:
+            parse_program(source)
+        # The offending '{' opens level 101.
+        assert (info.value.line, info.value.column) == (1, 8 * 100 + 8)
+        with pytest.raises(SourceError, match="ParseError: blocks nest"):
+            load_cfg(source)
+
+    @pytest.mark.parametrize(
+        "opener", ["if (a) {", "while (a) {", "repeat (2) {"]
+    )
+    def test_nesting_at_the_limit_loads_and_lowers(self, opener):
+        source = opener * MAX_NESTING + "x = x + 1;" + "}" * MAX_NESTING
+        cfg = compile_program(source)
+        assert "x = x + 1" in str(cfg)
+        with pytest.raises(ParseError, match="deeper than 100"):
+            parse_program(opener + source + "}")
+
+    def test_else_and_do_blocks_count_too(self):
+        nested = "x = 1;"
+        for _ in range(MAX_NESTING):
+            nested = "if (a) { skip; } else { " + nested + " }"
+        parse_program(nested)
+        with pytest.raises(ParseError, match="deeper than 100"):
+            parse_program("do { " + nested + " } while (a);")

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import diamond, do_while_invariant
+from tests.helpers import diamond, do_while_invariant, straight_line
 
 from repro.api import optimize_cfg
 from repro.bench.generators import GeneratorConfig, random_cfg
@@ -528,6 +528,12 @@ class TestDirtySchedulingEqualsFull:
     def test_on_handwritten_graphs(self):
         _assert_schedulings_agree(diamond())
         _assert_schedulings_agree(do_while_invariant())
+        # DCE drops `y = 5` in round one; copy propagation then rewrites
+        # `z = x` in round two, which leaves `x = y` dead for a second
+        # DCE run.
+        _assert_schedulings_agree(
+            straight_line(["x = y", "y = 5", "z = x", "y = 7", "x = 0"])
+        )
 
     @quick
     @given(seeds)

@@ -2,6 +2,7 @@
 
 from tests.helpers import diamond, do_while_invariant
 
+from repro.analysis.liveness import liveness_of
 from repro.analysis.local import compute_local_properties
 from repro.core.lcm import analyze_lcm
 from repro.core.pipeline import OptimizeConfig, optimize
@@ -86,6 +87,24 @@ class TestMemoization:
         wl = manager.solve(cfg, problem, strategy="worklist")
         assert rr is not wl
         assert rr.inof == wl.inof and rr.outof == wl.outof
+
+    def test_liveness_of_routes_through_the_memo_tier(self):
+        manager = AnalysisManager()
+        cfg = diamond()
+        first = liveness_of(cfg, manager=manager)
+        second = liveness_of(cfg, manager=manager)
+        assert first is second
+        assert manager.stats.hits == 1
+        assert liveness_of(cfg).livein.keys() == first.livein.keys()
+
+    def test_liveness_is_memoized_by_content(self):
+        manager = AnalysisManager()
+        cfg = do_while_invariant()
+        liveness_of(cfg, manager=manager)
+        before = manager.stats.misses
+        liveness_of(cfg.copy(), manager=manager)  # same content, new object
+        assert manager.stats.misses == before
+        assert manager.stats.hits == 1
 
 
 class TestInvalidation:
